@@ -14,8 +14,6 @@ from dataclasses import dataclass, field, replace
 from itertools import product
 from math import prod
 
-from sympy import factorint
-
 from .errors import (
     ConstructionError,
     DataFormatError,
@@ -24,8 +22,8 @@ from .errors import (
     PeriodicityError,
     WindowError,
 )
-from .groups import FiniteAbelianGroup, lex_rank
-from .lee import double_sphere, lee_sphere, lee_weight
+from .groups import FiniteAbelianGroup, factorize
+from .lee import double_sphere, even_weight_member, lee_sphere, lee_weight, nonzeros
 from .tiling import (
     Homomorphism,
     KernelBasis,
@@ -84,7 +82,7 @@ class FactorizationProfile:
 def factorization_profile(n):
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    fac = factorint(n)
+    fac = factorize(n)
     alpha = fac.pop(2, 0)
     primes = tuple(sorted(fac))
     exps = tuple(fac[p] for p in primes)
@@ -103,10 +101,6 @@ class LinearLeeCode:
     q: int | None = None
     blocks: tuple | None = field(default=None, compare=False)
 
-    @property
-    def axis_vector(self):
-        return tuple(1 if i == self.anticode.axis - 1 else 0 for i in range(self.n))
-
 
 def is_admissible_q(n, q):
     """True iff a linear non-periodic diameter-4 code over Z_q^n exists."""
@@ -114,16 +108,10 @@ def is_admissible_q(n, q):
         raise DomainError(f"n must be >= 1, got {n}")
     if q < 2:
         raise DomainError(f"q must be >= 2, got {q}")
-    prof = factorization_profile(n)
-    qf = factorint(q)
-    beta = qf.pop(2, 0)
-    if not 2 <= beta <= prof.alpha + 2:
-        return False
-    if set(qf) != set(prof.odd_primes):
-        return False
-    return all(
-        1 <= qf[p] <= a for p, a in zip(prof.odd_primes, prof.odd_exponents)
-    )
+    # 4 | q | 4n and every odd prime of n divides q, i.e. the odd part
+    # r of n divides q^k for any k at least the largest exponent in r
+    r = n >> ((n & -n).bit_length() - 1)
+    return q % 4 == 0 and 4 * n % q == 0 and pow(q, r.bit_length(), r) == 0
 
 
 def _squarefree_chain(m):
@@ -131,10 +119,10 @@ def _squarefree_chain(m):
 
     Factor j contains prime p iff its exponent in m is at least j.
     """
-    fac = factorint(m)
+    fac = factorize(m)
     depth = max(fac.values(), default=0)
     return tuple(
-        prod(p for p, e in sorted(fac.items()) if e >= j) for j in range(1, depth + 1)
+        prod(p for p, e in fac.items() if e >= j) for j in range(1, depth + 1)
     )
 
 
@@ -218,8 +206,7 @@ def construct_dpl4(n, q):
 
     identity = G.identity
     for row in rows:
-        sparse = [(idx, x) for idx, x in enumerate(row) if x]
-        if apply_hom_sparse(hom, sparse) != identity:
+        if apply_hom_sparse(hom, nonzeros(row)) != identity:
             raise ConstructionError(f"basis row {row} not in kernel")
         if lee_weight(row) % 2 != 0:
             raise ConstructionError(f"basis row {row} has odd Lee weight")
@@ -243,19 +230,22 @@ def construct_pl1(n):
                          basis=kernel_basis(hom), transversal=IDENTITY)
 
 
-def codeword_of_tile(code, l):
-    """Codeword of the tile translated by kernel vector l.
+def apply_transversal(code, l):
+    """Codeword of the tile at l, for l already known to lie in the kernel.
 
     Even-weight transversal: the even-Lee-weight member of the center
     pair {l, l + e_axis}; identity transversal: l itself.
     """
-    if apply_hom(code.hom, l) != code.hom.group.identity:
-        raise MembershipError(f"{l} is not in the kernel lattice")
     if code.transversal == IDENTITY:
         return tuple(l)
-    if lee_weight(l) % 2 == 0:
-        return tuple(l)
-    return tuple(a + b for a, b in zip(l, code.axis_vector))
+    return even_weight_member(l, code.anticode.axis)
+
+
+def codeword_of_tile(code, l):
+    """Codeword of the tile translated by kernel vector l."""
+    if apply_hom(code.hom, l) != code.hom.group.identity:
+        raise MembershipError(f"{l} is not in the kernel lattice")
+    return apply_transversal(code, l)
 
 
 def restrict_to_zq(code, q):
@@ -272,14 +262,11 @@ def codewords_mod_q(code):
         raise DomainError("code has no modulus; restrict it first")
     q = code.q
     identity = code.hom.group.identity
-    out = []
-    for x in product(range(q), repeat=code.n):
-        if apply_hom(code.hom, x) != identity:
-            continue
-        if code.transversal == EVEN_WEIGHT and lee_weight(x, q) % 2 != 0:
-            x = tuple((a + b) % q for a, b in zip(x, code.axis_vector))
-        out.append(tuple(x))
-    return sorted(out)
+    return sorted(
+        tuple(a % q for a in apply_transversal(code, x))
+        for x in product(range(q), repeat=code.n)
+        if apply_hom(code.hom, x) == identity
+    )
 
 
 def codewords_in_window(code, R):
@@ -361,6 +348,7 @@ def code_from_dict(d):
         hom = Homomorphism(G, tuple(tuple(g) for g in d["images"]))
         transversal = d["transversal"]
         q = d.get("q")
+        q = None if q is None else int(q)
         rows = tuple(tuple(int(x) for x in row) for row in d["basis"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"malformed code descriptor: {exc}") from exc
@@ -368,6 +356,9 @@ def code_from_dict(d):
         raise DataFormatError(f"unknown transversal {transversal!r}")
     if len(rows) != n or any(len(row) != n for row in rows):
         raise DataFormatError("basis is not an n x n matrix")
+    if q is not None and (q < 1 or q % period(hom) != 0):
+        raise DataFormatError(f"q = {q} is not a positive multiple of the period "
+                              f"{period(hom)}")
     identity = G.identity
     for row in rows:
         if apply_hom(hom, row) != identity:
@@ -379,8 +370,7 @@ def code_from_dict(d):
         raise DataFormatError("homomorphism is not bijective on the anticode")
     return LinearLeeCode(n=n, anticode=anticode, hom=hom,
                          basis=KernelBasis(rows=rows, det_abs=det),
-                         transversal=transversal,
-                         q=int(q) if q is not None else None)
+                         transversal=transversal, q=q)
 
 
 def code_from_json(text):

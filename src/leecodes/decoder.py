@@ -2,27 +2,34 @@
 
 The table stores the inverse of the homomorphism's restriction to the
 anticode, indexed by lexicographic element rank.  Decoding a word costs
-n multiply-accumulates per group component plus one rank computation
-and one table read; the table is built once and never rebuilt on the
-decode path.
+one evaluation of phi, one rank computation, one table read and a
+check of the entry read against phi at the cost of its few nonzeros;
+the table is built once and never rebuilt on the decode path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import sub
 
-from .codes import codeword_of_tile
-from .errors import ConstructionError, DimensionError, PeriodicityError
+from .codes import apply_transversal
+from .errors import ConstructionError, PeriodicityError
 from .groups import lex_rank
-from .lee import format_word
-from .tiling import period
+from .lee import format_word, nonzeros
+from .tiling import apply_hom, apply_hom_sparse, period
 
 
 @dataclass(frozen=True)
 class DecoderTable:
     code: "LinearLeeCode"
     entries: tuple  # slot lex_rank(g) - 1 holds f(g) in the anticode
-    _columns: tuple  # per group component: (modulus, image column)
+    # derived from code and entries, so a replaced field cannot leave them stale
+    _sparse: tuple = field(init=False, repr=False, compare=False)
+    _period: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_sparse", tuple(nonzeros(w) for w in self.entries))
+        object.__setattr__(self, "_period", period(self.code.hom))
 
     def dump(self):
         """Rank-indexed audit listing, one `rank: word` line per slot."""
@@ -35,10 +42,9 @@ def build_decoder_table(code):
     """Invert the restriction of phi to the anticode, one pass."""
     hom = code.hom
     G = hom.group
-    columns = _columns_of(hom)
     entries = [None] * G.order
     for w in code.anticode.points():
-        g = _phi_columns(G.factors, columns, w)
+        g = apply_hom_sparse(hom, nonzeros(w))
         idx = lex_rank(g, G) - 1
         if entries[idx] is not None:
             raise ConstructionError(
@@ -47,22 +53,7 @@ def build_decoder_table(code):
         entries[idx] = tuple(w)
     if any(e is None for e in entries):
         raise ConstructionError("phi is not onto G on the anticode")
-    return DecoderTable(code=code, entries=tuple(entries), _columns=columns)
-
-
-def _columns_of(hom):
-    factors = hom.group.factors
-    return tuple(
-        (t, tuple(g[j] for g in hom.images)) for j, t in enumerate(factors)
-    )
-
-
-def _phi_columns(factors, columns, a):
-    # coordinates reduced per component before the multiply-accumulate,
-    # keeping every intermediate bounded by t^2 * n
-    return tuple(
-        sum((ai % t) * gi for ai, gi in zip(a, col)) % t for t, col in columns
-    )
+    return DecoderTable(code=code, entries=tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -73,23 +64,20 @@ class DecodeResult:
 
 def decode(table, a):
     """Decode a word of Z^n to its codeword and tile translation vector."""
-    code = table.code
-    if len(a) != code.n:
-        raise DimensionError(f"word length {len(a)} != {code.n}")
-    G = code.hom.group
-    g = _phi_columns(G.factors, table._columns, a)
-    w = table.entries[lex_rank(g, G) - 1]
-    l = tuple(ai - wi for ai, wi in zip(a, w))
-    # kernel membership is part of the decode contract
-    if _phi_columns(G.factors, table._columns, l) != G.identity:
-        raise ConstructionError(f"tile vector {l} escaped the kernel")
-    return DecodeResult(codeword=codeword_of_tile(code, l), tile_vector=l)
+    hom = table.code.hom
+    g = apply_hom(hom, a)
+    idx = lex_rank(g, hom.group) - 1
+    # kernel membership of l = a - w is part of the decode contract:
+    # phi(l) = phi(a) - phi(w) vanishes iff phi(w) = g
+    if apply_hom_sparse(hom, table._sparse[idx]) != g:
+        raise ConstructionError(f"table entry {table.entries[idx]} does not map to {g}")
+    l = tuple(map(sub, a, table.entries[idx]))
+    return DecodeResult(codeword=apply_transversal(table.code, l), tile_vector=l)
 
 
 def decode_modular(table, a, q):
     """Decode in Z_q^n: decode any lift, then reduce the codeword mod q."""
-    p = period(table.code.hom)
-    if q % p != 0:
-        raise PeriodicityError(f"period {p} does not divide q = {q}")
+    if q % table._period != 0:
+        raise PeriodicityError(f"period {table._period} does not divide q = {q}")
     res = decode(table, tuple(a))
     return tuple(x % q for x in res.codeword)

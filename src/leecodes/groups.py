@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd, lcm, prod
 
-from sympy import factorint
-
 from .errors import DomainError, StructuralError
 
 
@@ -65,6 +63,22 @@ def element_order(g, G):
     return lcm(*(t // gcd(t, x) for t, x in zip(G.factors, g))) if G.factors else 1
 
 
+def factorize(m):
+    """Prime factorization {p: e} of m >= 1 by trial division, primes ascending."""
+    if m < 1:
+        raise DomainError(f"can only factor m >= 1, got {m}")
+    out = {}
+    p = 2
+    while p * p <= m:
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
+            m //= p
+        p += 1 if p == 2 else 2
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
 def _partitions_desc(k):
     """Partitions of k as tuples with decreasing parts, largest part first."""
     if k == 0:
@@ -92,7 +106,7 @@ def enumerate_abelian_groups(m):
     if m < 1:
         raise DomainError(f"order must be >= 1, got {m}")
     per_prime = []
-    for p, e in sorted(factorint(m).items()):
+    for p, e in factorize(m).items():
         per_prime.append([tuple(p ** part for part in pt) for pt in _partitions_desc(e)])
     groups = []
     for combo in product(*per_prime):

@@ -7,7 +7,7 @@ order by coordinates, which keeps golden files stable.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, compress, count, product
 from math import comb
 
 from .errors import DimensionError, DomainError
@@ -24,6 +24,23 @@ def lee_weight(w, q=None):
         d = x % q
         total += min(d, q - d)
     return total
+
+
+def even_weight_member(w, axis=1):
+    """The member of {w, w + e_axis} with even coordinate sum, hence even Lee weight.
+
+    axis is 1-based.  This is the even-weight transversal rule of every
+    diameter-4 code here.
+    """
+    w = tuple(w)
+    if sum(w) % 2 == 0:
+        return w
+    return w[:axis - 1] + (w[axis - 1] + 1,) + w[axis:]
+
+
+def nonzeros(w):
+    """The sparse form of a word: its (0-based index, value) pairs with value != 0."""
+    return tuple(zip(compress(count(), w), filter(None, w)))
 
 
 def lee_distance(u, v, q=None):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError, StructuralError, WindowError
 from .groups import FiniteAbelianGroup, element_order
-from .lee import double_sphere, lee_weight
-from .tiling import Homomorphism, apply_hom_half
+from .lee import double_sphere, even_weight_member
+from .tiling import Homomorphism, apply_hom, apply_hom_sparse, det_bareiss, exact_cover
 
 K1 = "K1"
 K2 = "K2"
@@ -81,17 +81,28 @@ def construct_double_cross_hom(n):
     return Homomorphism(G, tuple(images), half_image=(odd % mod,))
 
 
+def half_lattice_hom(hom):
+    """phi on the half lattice, as a homomorphism acting on doubled words.
+
+    A point (x_1, ..., x_n) with x_1 in (1/2)Z is stored as
+    (2*x_1, x_2, ..., x_n), so its image is 2*x_1 * h + sum x_i * g_i
+    with h the image of (1/2)e_1: the images are (h, g_2, ..., g_n).
+    """
+    if hom.half_image is None:
+        raise StructuralError("homomorphism has no half image")
+    return Homomorphism(hom.group, (hom.half_image,) + hom.images[1:])
+
+
 def verify_nonregular(hom, n):
     """Both sufficient-condition checks for a non-regular tiling.
 
     True iff phi is bijective on the 8n-point W and some phi(e_i),
     i >= 2, generates the order-8n group.
     """
-    if hom.half_image is None:
-        raise StructuralError("homomorphism has no half image")
+    half = half_lattice_hom(hom)
     G = hom.group
     W = double_cross_support(n)
-    images = {apply_hom_half(hom, hw) for hw in W}
+    images = {apply_hom(half, hw) for hw in W}
     if len(images) != len(W) or len(W) != G.order:
         return False
     return any(element_order(g, G) == G.order for g in hom.images[1:])
@@ -109,22 +120,16 @@ def half_kernel_basis():
     Rows: -(1/2)e_1 + 3e_2, 24e_2, 13e_2 - e_3; |det| = 12 in cube
     volume (exact 3x3 determinant in doubled-first coordinates, halved).
     """
-    hom = construct_double_cross_hom(3)
+    half = half_lattice_hom(construct_double_cross_hom(3))
     rows = (
         HalfWord(-1, (3, 0)),
         HalfWord(0, (24, 0)),
         HalfWord(0, (13, -1)),
     )
-    identity = hom.group.identity
     for hw in rows:
-        if apply_hom_half(hom, hw.doubled) != identity:
+        if apply_hom(half, hw.doubled) != half.group.identity:
             raise StructuralError(f"{hw} is not in the kernel")
-    doubled = [list(hw.doubled) for hw in rows]
-    det2 = (
-        doubled[0][0] * (doubled[1][1] * doubled[2][2] - doubled[1][2] * doubled[2][1])
-        - doubled[0][1] * (doubled[1][0] * doubled[2][2] - doubled[1][2] * doubled[2][0])
-        + doubled[0][2] * (doubled[1][0] * doubled[2][1] - doubled[1][1] * doubled[2][0])
-    )
+    det2 = det_bareiss([hw.doubled for hw in rows])
     assert det2 % 2 == 0
     return HalfKernelBasis(rows=rows, det_abs=abs(det2) // 2)
 
@@ -171,20 +176,17 @@ def shifted_tiling_n3(bits, R):
             f"window R = {R} too small for {len(bits)} components; need >= "
             f"{6 * len(bits) + 6}"
         )
-    hom = construct_double_cross_hom(3)
-    mod = hom.group.order  # 24
-    half = hom.half_image[0]  # 3
-    g2 = hom.images[1][0]  # 1
-    g3 = hom.images[2][0]  # 13
-    g3_inv = pow(g3, -1, mod)
+    half = half_lattice_hom(construct_double_cross_hom(3))
+    mod = half.group.order  # 24
+    g3_inv = pow(half.images[2][0], -1, mod)  # phi(e_3) = 13
     margin = 4
     lim = R + 2
     centers = []
     for d1 in range(-2 * (R + margin), 2 * (R + margin) + 1):
-        base = (d1 * half) % mod
         for x2 in range(-(R + margin), R + margin + 1):
-            # solve base + x2*g2 + x3*g3 = 0 (mod 24) for x3
-            x3_0 = (-(base + x2 * g2) * g3_inv) % mod
+            # solve phi(d1/2, x2, 0) + x3*phi(e_3) = 0 (mod 24) for x3
+            (base,) = apply_hom_sparse(half, ((0, d1), (1, x2)))
+            x3_0 = (-base * g3_inv) % mod
             start = -(R + margin)
             x3 = start + ((x3_0 - start) % mod)
             while x3 <= R + margin:
@@ -207,25 +209,9 @@ def shifted_tiling_n3(bits, R):
 
 def verify_cover(tiling):
     """Exact-cover oracle: each window point in exactly one translate."""
-    R = tiling.R
-    tile = double_sphere(3, 1, 1)
-    counts = {}
-    for c in tiling.centers:
-        for v in tile:
-            p = (c[0] + v[0], c[1] + v[1], c[2] + v[2])
-            if all(-R <= x <= R for x in p):
-                counts[p] = counts.get(p, 0) + 1
-    if len(counts) != (2 * R + 1) ** 3:
-        return False
-    return all(v == 1 for v in counts.values())
+    return exact_cover(tiling.centers, double_sphere(3, 1, 1), tiling.R)
 
 
 def code_from_window_tiling(tiling):
     """One codeword per tile: the even-Lee-weight member of {c, c + e_1}."""
-    out = []
-    for c in tiling.centers:
-        if lee_weight(c) % 2 == 0:
-            out.append(c)
-        else:
-            out.append((c[0] + 1, c[1], c[2]))
-    return sorted(set(out))
+    return sorted({even_weight_member(c) for c in tiling.centers})

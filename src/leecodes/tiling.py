@@ -2,7 +2,8 @@
 
 A homomorphism Z^n -> G is determined by the images of the unit vectors.
 The restriction being a bijection on a tile V is equivalent to the
-kernel lattice tiling Z^n by V; this module provides the bijection
+kernel lattice tiling Z^n by V; this module provides the evaluation
+of phi (the only one in the package, dense or sparse), the bijection
 check, an exact kernel-basis extraction, the tiling period, a
 finite-window exact-cover oracle, and the exhaustive search over groups
 and image assignments.
@@ -10,11 +11,9 @@ and image assignments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, field
 from math import lcm
-
-from sympy import isprime
+from operator import add, mul
 
 from .errors import (
     ConstructionError,
@@ -22,16 +21,22 @@ from .errors import (
     SizeError,
     StructuralError,
 )
-from .groups import FiniteAbelianGroup, element_order, enumerate_abelian_groups
+from .groups import FiniteAbelianGroup, element_order, enumerate_abelian_groups, factorize
 
 
 @dataclass(frozen=True)
 class Homomorphism:
-    """Images of e_1..e_n in G; half_image, when set, is the image of (1/2)e_1."""
+    """Images of e_1..e_n in G; half_image, when set, is the image of (1/2)e_1.
+
+    columns holds, per cyclic factor t of G, the pair (t, image
+    coordinates in that factor): the column-major form every evaluation
+    of phi reads.
+    """
 
     group: FiniteAbelianGroup
     images: tuple
     half_image: tuple | None = None
+    columns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "images", tuple(tuple(g) for g in self.images))
@@ -45,6 +50,10 @@ class Homomorphism:
                 raise StructuralError("half image not in group")
             if self.group.add(h, h) != self.images[0]:
                 raise StructuralError("half image does not double to the e_1 image")
+        object.__setattr__(self, "columns", tuple(
+            (t, tuple(g[j] for g in self.images))
+            for j, t in enumerate(self.group.factors)
+        ))
 
     @property
     def n(self):
@@ -61,36 +70,12 @@ def apply_hom(hom, a):
     """phi(a) = sum a_i * phi(e_i), reduced componentwise in G."""
     if len(a) != hom.n:
         raise DimensionError(f"word length {len(a)} != {hom.n}")
-    factors = hom.group.factors
-    return tuple(
-        sum(ai * g[j] for ai, g in zip(a, hom.images)) % t
-        for j, t in enumerate(factors)
-    )
+    return tuple(sum(map(mul, a, col)) % t for t, col in hom.columns)
 
 
 def apply_hom_sparse(hom, items):
-    """phi of a sparse word given as (index, value) pairs, 0-based indices."""
-    factors = hom.group.factors
-    out = [0] * len(factors)
-    for i, x in items:
-        g = hom.images[i]
-        for j in range(len(factors)):
-            out[j] += x * g[j]
-    return tuple(v % t for v, t in zip(out, factors))
-
-
-def apply_hom_half(hom, hw):
-    """phi on the half lattice: hw = (2*x_1, x_2, ..., x_n)."""
-    if hom.half_image is None:
-        raise StructuralError("homomorphism has no half image")
-    if len(hw) != hom.n:
-        raise DimensionError(f"word length {len(hw)} != {hom.n}")
-    factors = hom.group.factors
-    h = hom.half_image
-    return tuple(
-        (hw[0] * h[j] + sum(x * g[j] for x, g in zip(hw[1:], hom.images[1:]))) % t
-        for j, t in enumerate(factors)
-    )
+    """phi of a sparse word given as a sequence of (index, value) pairs, 0-based."""
+    return tuple(sum(x * col[i] for i, x in items) % t for t, col in hom.columns)
 
 
 def is_bijection_on(hom, words):
@@ -240,27 +225,32 @@ def kernel_points_in_box(hom, bound):
     return out
 
 
+def exact_cover(centers, tile, R):
+    """Exact-cover oracle: every point of [-R,R]^n in exactly one translate c + tile."""
+    n = len(tile[0])
+    covered = set()
+    for c in centers:
+        for v in tile:
+            p = tuple(map(add, c, v))
+            if -R <= min(p) and max(p) <= R:
+                if p in covered:
+                    return False
+                covered.add(p)
+    return len(covered) == (2 * R + 1) ** n
+
+
 def verify_window_tiling(hom, V, R):
-    """Exact-cover oracle: every point of [-R,R]^n in exactly one translate.
+    """Exact cover of [-R,R]^n by the translates of V over ker(phi).
 
     Translates are taken over kernel points within R plus the coordinate
     spread of V, which bounds the translation vector of any tile touching
     the window.
     """
     V = list(V)
-    n = hom.n
     spread = max(
-        max(v[i] for v in V) - min(v[i] for v in V) for i in range(n)
+        max(v[i] for v in V) - min(v[i] for v in V) for i in range(hom.n)
     )
-    counts = {}
-    for l in kernel_points_in_box(hom, R + spread):
-        for v in V:
-            p = tuple(a + b for a, b in zip(l, v))
-            if all(-R <= x <= R for x in p):
-                counts[p] = counts.get(p, 0) + 1
-    if len(counts) != (2 * R + 1) ** n:
-        return False
-    return all(c == 1 for c in counts.values())
+    return exact_cover(kernel_points_in_box(hom, R + spread), V, R)
 
 
 # --- exhaustive search ----------------------------------------------------
@@ -303,6 +293,57 @@ def _normalize_tile(V):
     return [tuple(a - b for a, b in zip(w, base)) for w in V]
 
 
+def _search_group(G, start, coeffs, budget, counts, failures, max_failures):
+    """Depth-first image assignment in G; see search_lattice_tiling.
+
+    A word's residue is final once the images up to its last nonzero
+    coordinate are assigned: depth d checks the words whose last nonzero
+    coordinate is d against the residues already fixed, and carries the
+    partial residues of the later words down one level.
+    """
+    factors = G.factors
+    n = len(coeffs)
+    images = [None] * n
+    elems = list(G.elements())
+    # a cyclic group of prime order: every nonzero element is a generator,
+    # so an automorphism absorbs the choice of the first image
+    prime_cyclic = len(factors) == 1 and factorize(factors[0]) == {factors[0]: 1}
+    first = [(1,)] if prime_cyclic else elems
+
+    def dfs(depth, seen, acc):
+        k = start[depth + 1] - start[depth]
+        coeff = coeffs[depth]
+        for g in first if depth == 0 else elems:
+            counts[0] += 1
+            if counts[0] > budget:
+                return BUDGET_EXCEEDED
+            images[depth] = g
+            fresh = set()
+            ok = True
+            for r, x in zip(acc[:k], coeff):
+                r = tuple((a + x * b) % t for a, b, t in zip(r, g, factors))
+                if r in seen or r in fresh:
+                    ok = False
+                    break
+                fresh.add(r)
+            if depth + 1 == n:
+                counts[1] += 1
+                if ok:
+                    return Homomorphism(G, tuple(images))
+                if len(failures) < max_failures:
+                    failures.append((factors, tuple(images)))
+            elif ok:
+                res = dfs(depth + 1, seen | fresh, [
+                    tuple((a + x * b) % t for a, b, t in zip(r, g, factors)) if x else r
+                    for r, x in zip(acc[k:], coeff[k:])
+                ])
+                if res is not None:
+                    return res
+        return None
+
+    return dfs(0, {G.identity}, [G.identity] * len(coeffs[0]))
+
+
 def search_lattice_tiling(V, budget=DEFAULT_BUDGET, max_failures=1024):
     """Exhaustive search for a homomorphism bijective on V.
 
@@ -317,60 +358,24 @@ def search_lattice_tiling(V, budget=DEFAULT_BUDGET, max_failures=1024):
         raise SizeError("tile must be nonempty")
     n = len(V[0])
     W = _normalize_tile(V)
-    size = len(W)
-    # words of W supported on the first m coordinates, cumulatively
-    by_depth = [
-        [w for w in W if all(x == 0 for x in w[m:])] for m in range(n + 1)
-    ]
-    nodes = 0
-    assignments = 0
+    # words sorted by last nonzero coordinate (-1 for the origin);
+    # start[d] is the first word whose last nonzero coordinate is >= d
+    last = {w: max((i for i, x in enumerate(w) if x), default=-1) for w in W}
+    words = sorted(W, key=last.get)
+    start = [sum(1 for w in words if last[w] < d) for d in range(n + 1)]
+    coeffs = [[w[d] for w in words[start[d]:]] for d in range(n)]
+    counts = [0, 0]  # nodes, full assignments
     groups_tried = 0
     failures = []
 
-    for G in enumerate_abelian_groups(size):
+    for G in enumerate_abelian_groups(len(W)):
         groups_tried += 1
-        elems = list(G.elements())
-        prime_cyclic = len(G.factors) == 1 and isprime(G.factors[0])
-        images = [None] * n
-
-        def dfs(depth):
-            nonlocal nodes, assignments
-            if depth == n:
-                return None
-            candidates = [(1,)] if depth == 0 and prime_cyclic else elems
-            for g in candidates:
-                nodes += 1
-                if nodes > budget:
-                    return BUDGET_EXCEEDED
-                images[depth] = g
-                partial = Homomorphism(G, tuple(images[: depth + 1]))
-                seen = set()
-                ok = True
-                for w in by_depth[depth + 1]:
-                    img = apply_hom(partial, w[: depth + 1])
-                    if img in seen:
-                        ok = False
-                        break
-                    seen.add(img)
-                if ok:
-                    if depth + 1 == n:
-                        assignments += 1
-                        return Homomorphism(G, tuple(images))
-                    res = dfs(depth + 1)
-                    if res is not None:
-                        return res
-                elif depth + 1 == n:
-                    assignments += 1
-                    if len(failures) < max_failures:
-                        failures.append((G.factors, tuple(images)))
-            return None
-
-        res = dfs(0)
+        res = _search_group(G, start, coeffs, budget, counts, failures, max_failures)
         if res == BUDGET_EXCEEDED:
-            return SearchResult(BUDGET_EXCEEDED, None, groups_tried, assignments,
-                                nodes, tuple(failures))
+            return SearchResult(BUDGET_EXCEEDED, None, groups_tried, counts[1],
+                                counts[0], tuple(failures))
         if res is not None:
-            return SearchResult(FOUND, res, groups_tried, assignments, nodes,
+            return SearchResult(FOUND, res, groups_tried, counts[1], counts[0],
                                 tuple(failures))
-    return SearchResult(NOT_FOUND, None, groups_tried, assignments, nodes,
+    return SearchResult(NOT_FOUND, None, groups_tried, counts[1], counts[0],
                         tuple(failures))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +13,18 @@ from leecodes.cli import (
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_GROUP_ORDER,
     run,
 )
 from leecodes.lee import format_words, lee_sphere
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 @pytest.fixture
@@ -91,6 +104,7 @@ def test_decode(code_file, capsys):
     assert "codeword" in payload and "tile_vector" in payload
     assert run(["decode", "--code", code_file, "--word", "5,4,0",
                 "--mod", "12"]) == EXIT_OK
+    assert run(["decode", "--code", code_file, "--word=-1,2,0"]) == EXIT_OK
 
 
 def test_tile(code_file, capsys):
@@ -125,9 +139,43 @@ def test_data_errors(tmp_path):
                 "--window", "5"]) == EXIT_DATA
 
 
-def test_bench_decode_smoke(capsys):
-    assert run(["bench-decode", "--n-list", "8,16", "--reps", "5"]) == EXIT_OK
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 2
-    n, mean_ns = lines[0].split(",")
-    assert n == "8" and int(mean_ns) > 0
+def test_python_m_cli_runs_main(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "leecodes.cli", "construct", "--n", "3", "--q", "12",
+         "--json"],
+        capture_output=True, text=True, env=_env(), cwd=tmp_path,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout) == json.loads(code_to_json(construct_dpl4(3, 12)))
+
+
+def test_import_loads_no_sympy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, leecodes, leecodes.cli; print('sympy' in sys.modules)"],
+        capture_output=True, text=True, env=_env(), cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_search_bad_budget_is_usage_error(tmp_path):
+    path = tmp_path / "cross.txt"
+    path.write_text(format_words(lee_sphere(2, 1)) + "\n")
+    for budget in ("abc", "inf", "nan", ""):
+        assert run(["search", "--anticode", str(path), "--budget", budget]) == EXIT_USAGE
+    assert run(["search", "--anticode", str(path), "--budget", "1e3"]) == EXIT_OK
+
+
+def test_groups_order_cap(capsys):
+    assert run(["groups", "--order", str(MAX_GROUP_ORDER + 1)]) == EXIT_USAGE
+    assert run(["groups", "--order", str(MAX_GROUP_ORDER), "--json"]) == EXIT_OK
+    assert len(json.loads(capsys.readouterr().out)) == 77 * 77  # 2^12 * 5^12
+
+
+def test_decode_rejects_modulus_the_period_does_not_divide(code_file):
+    d = json.loads(open(code_file).read())
+    d["q"] = 5
+    with open(code_file, "w") as fh:
+        json.dump(d, fh)
+    assert run(["decode", "--code", code_file, "--word", "5,4,0"]) == EXIT_DATA

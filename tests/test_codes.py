@@ -62,6 +62,10 @@ def test_admissibility_truth_table():
     for n in range(1, 13):
         for q in range(2, 65):
             assert is_admissible_q(n, q) == admissible_oracle(n, q), (n, q)
+    for n in range(13, 300):  # every candidate q divides 4n
+        for q in range(4, 4 * n + 1, 4):
+            if 4 * n % q == 0:
+                assert is_admissible_q(n, q) == admissible_oracle(n, q), (n, q)
 
 
 def test_minimal_admissible_q_is_four_times_odd_radical():
@@ -238,6 +242,10 @@ def test_code_from_json_validation():
     bad["images"] = [[1], [1]]  # not bijective on the anticode
     with pytest.raises(DataFormatError):
         code_from_json(json.dumps(bad))
+    for q in (5, 12, 0, -8, "x"):  # the period 8 must divide q
+        with pytest.raises(DataFormatError):
+            code_from_json(json.dumps(dict(good, q=q)))
+    assert code_from_json(json.dumps(dict(good, q=24))).q == 24
 
 
 def test_anticode_diameters():

@@ -1,4 +1,6 @@
 import random
+from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -11,7 +13,7 @@ from leecodes import (
     lee_distance,
     lex_rank,
 )
-from leecodes.errors import DimensionError, PeriodicityError
+from leecodes.errors import ConstructionError, DimensionError, PeriodicityError
 from leecodes.tiling import apply_hom
 
 
@@ -106,3 +108,33 @@ def test_decode_distance_bound():
         res = decode(table, w)
         assert lee_distance(w, res.tile_vector) <= 2 * r  # within the tile
         assert lee_distance(w, res.codeword) <= 2 * r + 1
+
+
+def test_decode_modular_equals_reduced_decode():
+    rng = random.Random(5)
+    for code, q in [(construct_dpl4(3, 12), 12), (construct_dpl4(3, 12), 36),
+                    (construct_dpl4(6, 24), 24), (construct_pl1(3), 7)]:
+        table = build_decoder_table(code)
+        for _ in range(100):
+            a = tuple(rng.randrange(-60, 61) for _ in range(code.n))
+            want = tuple(x % q for x in decode(table, a).codeword)
+            assert decode_modular(table, a, q) == want
+
+
+def test_decode_rejects_swapped_table_entries():
+    code = construct_dpl4(3, 12)
+    table = build_decoder_table(code)
+    entries = list(table.entries)
+    entries[1], entries[5] = entries[5], entries[1]
+    bad = replace(table, entries=tuple(entries))
+    # words whose phi lands on one of the two swapped slots read a wrong entry
+    swapped = {apply_hom(code.hom, entries[1]), apply_hom(code.hom, entries[5])}
+    rejected = 0
+    for a in product(range(-3, 4), repeat=3):
+        if apply_hom(code.hom, a) in swapped:
+            with pytest.raises(ConstructionError):
+                decode(bad, a)
+            rejected += 1
+        else:
+            assert decode(bad, a) == decode(table, a)
+    assert rejected > 0

@@ -11,6 +11,7 @@ from leecodes import (
     lex_unrank,
 )
 from leecodes.errors import DomainError
+from leecodes.groups import factorize
 
 
 def brute_order(g, G):
@@ -63,6 +64,22 @@ def test_enumeration_count_matches_partition_oracle(m):
     assert len(gs) == expected
     assert all(G.order == m for G in gs)
     assert len({G.factors for G in gs}) == len(gs)
+
+
+def test_factorize_matches_sympy():
+    # sympy is a test-only reference here; the library factors by trial division
+    for m in range(1, 20000):
+        f = factorize(m)
+        assert f == factorint(m), m
+        assert list(f) == sorted(f)
+
+
+def test_factorize_examples():
+    assert factorize(1) == {}
+    assert factorize(10 ** 12) == {2: 12, 5: 12}
+    assert factorize(999999999989) == {999999999989: 1}  # largest prime < 10^12
+    with pytest.raises(DomainError):
+        factorize(0)
 
 
 def test_enumeration_deterministic_order():

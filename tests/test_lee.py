@@ -11,7 +11,14 @@ from leecodes import (
     lee_weight,
 )
 from leecodes.errors import DimensionError, DomainError
-from leecodes.lee import format_word, format_words, parse_word, parse_words
+from leecodes.lee import (
+    even_weight_member,
+    format_word,
+    format_words,
+    nonzeros,
+    parse_word,
+    parse_words,
+)
 
 
 def brute_sphere(n, r):
@@ -115,3 +122,19 @@ def test_word_serialization_roundtrip():
 def test_lee_weight_modular():
     assert lee_weight((4, 4), q=8) == 8
     assert lee_weight((7,), q=8) == 1
+
+
+def test_even_weight_member():
+    assert even_weight_member((0, 0, 0)) == (0, 0, 0)
+    assert even_weight_member((1, 0, 0)) == (2, 0, 0)
+    assert even_weight_member((-1, 2, 0), axis=3) == (-1, 2, 1)
+    for w in product(range(-3, 4), repeat=3):
+        for axis in (1, 2, 3):
+            m = even_weight_member(w, axis)
+            assert lee_weight(m) % 2 == 0
+            assert lee_distance(m, w) <= 1 and m[axis - 1] - w[axis - 1] in (0, 1)
+
+
+def test_nonzeros():
+    assert nonzeros((0, -2, 0, 5)) == ((1, -2), (3, 5))
+    assert nonzeros((0, 0)) == ()

@@ -19,9 +19,9 @@ from leecodes.nonregular import (
     K2,
     HalfWord,
     double_cross_support,
-    apply_hom_half,
+    half_lattice_hom,
 )
-from leecodes.tiling import Homomorphism
+from leecodes.tiling import Homomorphism, apply_hom
 
 
 def half_kernel_centers(bound):
@@ -84,9 +84,9 @@ def test_half_kernel_basis():
     kb = half_kernel_basis()
     assert kb.det_abs == 12
     assert [hw.doubled for hw in kb.rows] == [(-1, 3, 0), (0, 24, 0), (0, 13, -1)]
-    hom = construct_double_cross_hom(3)
+    half = half_lattice_hom(construct_double_cross_hom(3))
     for hw in kb.rows:
-        assert apply_hom_half(hom, hw.doubled) == (0,)
+        assert apply_hom(half, hw.doubled) == (0,)
 
 
 def test_basis_spans_kernel_in_box():

@@ -17,7 +17,9 @@ from leecodes.tiling import (
     FOUND,
     NOT_FOUND,
     apply_hom,
+    apply_hom_sparse,
     det_bareiss,
+    exact_cover,
     hnf_lower,
     kernel_points_in_box,
 )
@@ -31,6 +33,20 @@ def test_apply_hom_examples():
     assert apply_hom(CROSS_HOM, (0, 0)) == (0,)
     hom8 = Homomorphism(FiniteAbelianGroup((8,)), ((1,), (3,)))
     assert apply_hom(hom8, (5, 4)) == ((5 + 12) % 8,)
+
+
+def test_apply_hom_sparse_matches_dense():
+    hom = Homomorphism(FiniteAbelianGroup((12, 2)), ((1, 0), (3, 1), (5, 1), (7, 0)))
+    for a in [(0, 0, 0, 0), (1, -2, 0, 5), (0, 0, 0, -1), (24, 3, -7, 0)]:
+        sparse = [(i, x) for i, x in enumerate(a) if x]
+        assert apply_hom_sparse(hom, sparse) == apply_hom(hom, a)
+
+
+def test_columns_are_not_part_of_equality():
+    hom = Homomorphism(Z5, ((1,), (2,)))
+    assert hom.columns == ((5, (1, 2)),)
+    assert hom == CROSS_HOM and hash(hom) == hash(CROSS_HOM)
+    assert "columns" not in repr(hom)
 
 
 def test_apply_hom_dimension_check():
@@ -133,6 +149,14 @@ def test_verify_window_tiling():
     assert verify_window_tiling(hom8, double_sphere(2, 1, 1), 8)
 
 
+def test_exact_cover():
+    cross = lee_sphere(2, 1)
+    centers = kernel_points_in_box(CROSS_HOM, 5)
+    assert exact_cover(centers, cross, 3)
+    assert not exact_cover([c for c in centers if c != (0, 0)], cross, 3)  # hole
+    assert not exact_cover(centers + [(1, 0)], cross, 3)  # overlap
+
+
 def test_bijection_iff_window_tiling():
     # the two tiling criteria agree on a batch of candidate maps
     V = double_sphere(2, 1, 1)
@@ -193,3 +217,21 @@ def test_search_budget_exceeded():
 def test_search_empty_tile():
     with pytest.raises(SizeError):
         search_lattice_tiling([])
+
+
+@pytest.mark.parametrize("V, status, nodes, groups_tried", [
+    (double_sphere(1, 1), FOUND, 6, 2),
+    (double_sphere(2, 1), FOUND, 15, 2),
+    (double_sphere(3, 1), FOUND, 386, 2),
+    (double_sphere(4, 1), FOUND, 42, 2),
+    (double_sphere(5, 1), FOUND, 126376, 2),
+    (double_sphere(3, 2), FOUND, 8094, 1),
+    (lee_sphere(3, 2), NOT_FOUND, 22250, 2),
+])
+def test_search_work_counts(V, status, nodes, groups_tried):
+    # the pruning visits the same nodes in the same order as a check of
+    # every partial assignment against all words it fixes
+    res = search_lattice_tiling(V)
+    assert (res.status, res.nodes, res.groups_tried) == (status, nodes, groups_tried)
+    if status == FOUND:
+        assert is_bijection_on(res.hom, V)
