@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import log10
 
 from . import codes, decoder, groups, lee, nonregular, tiling
 from .errors import DataFormatError, LeeCodeError
@@ -23,6 +24,11 @@ EXIT_DATA = 65
 # largest --order factored: trial division of a prime just below it
 # takes about 0.1 s in CPython 3.11, of one near 10^18 minutes
 MAX_GROUP_ORDER = 10 ** 12
+
+# largest box a --window may make verify or tile scan, (2(R + spread) + 1)^n
+# and (2R + 1)^n points: the kernel scan visits about 10^6 points a second
+# in CPython 3.11, so about 10 s
+MAX_WINDOW_POINTS = 10 ** 7
 
 
 def _emit(args, human, payload=None):
@@ -101,9 +107,22 @@ def cmd_groups(args):
     return EXIT_OK
 
 
+def _window_too_large(window, reach, n):
+    """True, with the estimate on stderr, if the scan box of side
+    2 * (window + reach) + 1 in n dimensions exceeds MAX_WINDOW_POINTS."""
+    side = 2 * (window + reach) + 1
+    if side ** n <= MAX_WINDOW_POINTS:
+        return False
+    print(f"--window {window} scans {side}^{n} (about 10^{int(n * log10(side))}) "
+          f"points, more than {MAX_WINDOW_POINTS}", file=sys.stderr)
+    return True
+
+
 def cmd_verify(args):
     code = _load_code(args.code)
     V = code.anticode.points()
+    if _window_too_large(args.window, tiling.tile_spread(V), code.n):
+        return EXIT_USAGE
     bij = tiling.is_bijection_on(code.hom, V)
     cover = bij and tiling.verify_window_tiling(code.hom, V, args.window)
     d = code.anticode.diameter + 1
@@ -146,6 +165,8 @@ def cmd_nonregular(args):
 
 def cmd_tile(args):
     code = _load_code(args.code)
+    if _window_too_large(args.window, 0, code.n):
+        return EXIT_USAGE
     pts = tiling.kernel_points_in_box(code.hom, args.window)
     payload = {"window": args.window, "centers": [list(p) for p in pts]}
     _emit(args, lee.format_words(pts), payload)
@@ -158,6 +179,17 @@ def _budget(text):
         return int(float(text))
     except (ValueError, OverflowError):
         raise argparse.ArgumentTypeError(f"invalid budget {text!r}") from None
+
+
+def _window(text):
+    """A window radius R >= 1."""
+    try:
+        R = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid window {text!r}") from None
+    if R < 1:
+        raise argparse.ArgumentTypeError(f"window must be >= 1, got {R}")
+    return R
 
 
 def build_parser():
@@ -194,7 +226,7 @@ def build_parser():
 
     sp = add("verify", cmd_verify, help="verify a code file on a window")
     sp.add_argument("--code", required=True)
-    sp.add_argument("--window", type=int, required=True)
+    sp.add_argument("--window", type=_window, required=True)
 
     sp = add("decode", cmd_decode, help="decode a word with a code file")
     sp.add_argument("--code", required=True)
@@ -209,7 +241,7 @@ def build_parser():
 
     sp = add("tile", cmd_tile, help="kernel tile centers of a code in a window")
     sp.add_argument("--code", required=True)
-    sp.add_argument("--window", type=int, required=True)
+    sp.add_argument("--window", type=_window, required=True)
 
     return p
 

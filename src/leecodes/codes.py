@@ -18,18 +18,27 @@ from .errors import (
     ConstructionError,
     DataFormatError,
     DomainError,
+    LeeCodeError,
     MembershipError,
     PeriodicityError,
     WindowError,
 )
 from .groups import FiniteAbelianGroup, factorize
-from .lee import double_sphere, even_weight_member, lee_sphere, lee_weight, nonzeros
+from .lee import (
+    double_sphere,
+    double_sphere_size,
+    even_weight_member,
+    lee_sphere,
+    lee_sphere_size,
+    lee_weight,
+    nonzeros,
+)
 from .tiling import (
     Homomorphism,
     KernelBasis,
+    abs_det,
     apply_hom,
     apply_hom_sparse,
-    det_bareiss,
     is_bijection_on,
     kernel_basis,
     kernel_points_in_box,
@@ -40,6 +49,8 @@ SPHERE = "sphere"
 DOUBLE_SPHERE = "double-sphere"
 EVEN_WEIGHT = "even-weight"
 IDENTITY = "identity"
+# the transversal each anticode kind's codes use
+TRANSVERSAL_OF = {SPHERE: IDENTITY, DOUBLE_SPHERE: EVEN_WEIGHT}
 
 
 @dataclass(frozen=True)
@@ -59,6 +70,13 @@ class AnticodeSpec:
         if self.kind == SPHERE:
             return lee_sphere(self.n, self.r)
         return double_sphere(self.n, self.r, self.axis)
+
+    @property
+    def size(self):
+        """Number of points, in closed form: known before any enumeration."""
+        if self.kind == SPHERE:
+            return lee_sphere_size(self.n, self.r)
+        return double_sphere_size(self.n, self.r)
 
     @property
     def diameter(self):
@@ -338,32 +356,76 @@ def code_to_json(code):
     return json.dumps(code_to_dict(code), separators=(",", ":"))
 
 
+def _int(x, what, least):
+    """x if it is an int (a bool, float or str is not) of at least `least`."""
+    if type(x) is not int:
+        raise DataFormatError(f"{what} must be an integer, got {x!r}")
+    if x < least:
+        raise DataFormatError(f"{what} must be >= {least}, got {x}")
+    return x
+
+
+def _ints(xs, what, length=None):
+    """xs as a tuple if it is a list of ints, of `length` items when given."""
+    if type(xs) is not list or not {*map(type, xs)} <= {int}:
+        raise DataFormatError(f"{what} must be a list of integers")
+    if length is not None and len(xs) != length:
+        raise DataFormatError(f"{what} has {len(xs)} entries, expected {length}")
+    return tuple(xs)
+
+
+def _int_rows(rows, what, n, width):
+    """rows as a tuple of tuples if it is a list of n lists of `width` ints."""
+    if type(rows) is not list or len(rows) != n:
+        raise DataFormatError(f"{what} must be a list of {n} lists")
+    return tuple(_ints(row, f"{what} row {i}", width) for i, row in enumerate(rows, 1))
+
+
 def code_from_dict(d):
+    """Validate a code descriptor and build its code; DataFormatError on any defect.
+
+    Integer fields must be JSON integers.  The load proves that the
+    basis lies in ker(phi) with |det| = |G| exactly, that phi is
+    bijective on the anticode, that the transversal is the one of the
+    anticode kind, and that the period divides q.
+    """
+    if type(d) is not dict or type(d.get("anticode")) is not dict:
+        raise DataFormatError("a code descriptor is a JSON object with an "
+                              "'anticode' object")
+    ac = d["anticode"]
     try:
-        n = int(d["n"])
-        ac = d["anticode"]
-        anticode = AnticodeSpec(kind=ac["kind"], n=n, r=int(ac["r"]),
-                                axis=int(ac.get("axis", 1)))
-        G = FiniteAbelianGroup(tuple(d["group"]))
-        hom = Homomorphism(G, tuple(tuple(g) for g in d["images"]))
+        n = _int(d["n"], "n", 1)
+        kind = ac["kind"]
+        r = _int(ac["r"], "anticode.r", 0)
+        axis = _int(ac.get("axis", 1), "anticode.axis", 1)
+        factors = _ints(d["group"], "group")
+        images = _int_rows(d["images"], "images", n, len(factors))
+        rows = _int_rows(d["basis"], "basis", n, n)
         transversal = d["transversal"]
-        q = d.get("q")
-        q = None if q is None else int(q)
-        rows = tuple(tuple(int(x) for x in row) for row in d["basis"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise DataFormatError(f"malformed code descriptor: missing {exc}") from exc
+    q = _int(d["q"], "q", 1) if "q" in d else None
+    try:
+        anticode = AnticodeSpec(kind=kind, n=n, r=r, axis=axis)
+        G = FiniteAbelianGroup(factors)
+        hom = Homomorphism(G, images)
+    except LeeCodeError as exc:
         raise DataFormatError(f"malformed code descriptor: {exc}") from exc
     if transversal not in (EVEN_WEIGHT, IDENTITY):
         raise DataFormatError(f"unknown transversal {transversal!r}")
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise DataFormatError("basis is not an n x n matrix")
-    if q is not None and (q < 1 or q % period(hom) != 0):
+    if transversal != TRANSVERSAL_OF[kind]:
+        raise DataFormatError(f"a {kind} anticode needs the {TRANSVERSAL_OF[kind]} "
+                              f"transversal, not {transversal}")
+    if anticode.size != G.order:
+        raise DataFormatError(f"|anticode| = {anticode.size} != |G| = {G.order}")
+    if q is not None and q % period(hom) != 0:
         raise DataFormatError(f"q = {q} is not a positive multiple of the period "
                               f"{period(hom)}")
     identity = G.identity
     for row in rows:
-        if apply_hom(hom, row) != identity:
+        if apply_hom_sparse(hom, nonzeros(row)) != identity:
             raise DataFormatError(f"basis row {row} not in kernel")
-    det = abs(det_bareiss(rows))
+    det = abs_det(rows)
     if det != G.order:
         raise DataFormatError(f"|det(basis)| = {det} != |G| = {G.order}")
     if not is_bijection_on(hom, anticode.points()):

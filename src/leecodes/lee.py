@@ -89,10 +89,20 @@ def double_sphere(n, r, axis=1):
     """
     if not 1 <= axis <= n:
         raise DomainError(f"axis {axis} out of range 1..{n}")
-    e = tuple(1 if i == axis - 1 else 0 for i in range(n))
-    pts = set(lee_sphere(n, r))
-    pts.update(tuple(a + b for a, b in zip(w, e)) for w in lee_sphere(n, r))
+    k = axis - 1
+    sphere = lee_sphere(n, r)
+    pts = set(sphere)
+    pts.update(w[:k] + (w[k] + 1,) + w[k + 1:] for w in sphere)
     return sorted(pts)
+
+
+def lee_sphere_size(n, r):
+    """Closed-form volume of the Lee sphere of radius r in Z^n, exact integer arithmetic."""
+    if n < 1:
+        raise DomainError(f"dimension must be >= 1, got {n}")
+    if r < 0:
+        raise DomainError(f"radius must be >= 0, got {r}")
+    return sum(2 ** i * comb(n, i) * comb(r, i) for i in range(min(n, r) + 1))
 
 
 def double_sphere_size(n, r):

@@ -22,6 +22,7 @@ from .errors import (
     StructuralError,
 )
 from .groups import FiniteAbelianGroup, element_order, enumerate_abelian_groups, factorize
+from .lee import nonzeros
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,9 @@ def is_bijection_on(hom, words):
         raise SizeError(f"|V| = {len(words)} != |G| = {hom.group.order}")
     seen = set()
     for w in words:
-        g = apply_hom(hom, w)
+        if len(w) != hom.n:
+            raise DimensionError(f"word length {len(w)} != {hom.n}")
+        g = apply_hom_sparse(hom, nonzeros(w))
         if g in seen:
             return False
         seen.add(g)
@@ -158,6 +161,67 @@ def det_bareiss(mat):
             A[i][k] = 0
         prev = A[k][k]
     return sign * A[-1][-1]
+
+
+def abs_det(rows):
+    """Exact |det| of a square integer matrix, sparse rows peeled first.
+
+    A row or column with exactly one nonzero a_rc left is an exact
+    Laplace step: |det| gains |a_rc| and row r and column c go.  An
+    emptied row or column gives 0; whatever core is left goes to
+    det_bareiss.  Bases that are triangular up to a permutation of rows
+    and columns (the DPL(n,4) basis, the HNF of kernel_basis) peel
+    completely, in time linear in their entries.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise DimensionError("matrix is not square")
+    row_nz = [dict(nonzeros(row)) for row in rows]
+    col_nz = [set() for _ in range(n)]
+    for i, nz in enumerate(row_nz):
+        for j in nz:
+            col_nz[j].add(i)
+    if not all(row_nz) or not all(col_nz):
+        return 0
+    live_rows = set(range(n))
+    live_cols = set(range(n))
+    # (is_row, index) of lines that had one nonzero when pushed; a line
+    # still live when popped still has one, since emptying returns 0
+    todo = [(True, i) for i in range(n) if len(row_nz[i]) == 1]
+    todo += [(False, j) for j in range(n) if len(col_nz[j]) == 1]
+    det = 1
+    while todo:
+        is_row, k = todo.pop()
+        if is_row:
+            if k not in live_rows:
+                continue
+            r, (c,) = k, row_nz[k]
+        else:
+            if k not in live_cols:
+                continue
+            (r,), c = col_nz[k], k
+        det *= abs(row_nz[r][c])
+        live_rows.remove(r)
+        live_cols.remove(c)
+        for i in col_nz[c]:
+            if i != r:
+                del row_nz[i][c]
+                if not row_nz[i]:
+                    return 0
+                if len(row_nz[i]) == 1:
+                    todo.append((True, i))
+        for j in row_nz[r]:
+            if j != c:
+                col_nz[j].discard(r)
+                if not col_nz[j]:
+                    return 0
+                if len(col_nz[j]) == 1:
+                    todo.append((False, j))
+    if live_rows:
+        cols = sorted(live_cols)
+        det *= abs(det_bareiss([[row_nz[i].get(j, 0) for j in cols]
+                                for i in sorted(live_rows)]))
+    return det
 
 
 def kernel_basis(hom):
@@ -239,6 +303,11 @@ def exact_cover(centers, tile, R):
     return len(covered) == (2 * R + 1) ** n
 
 
+def tile_spread(V):
+    """Largest coordinate spread max v_i - min v_i of a tile over all axes."""
+    return max(max(col) - min(col) for col in zip(*V))
+
+
 def verify_window_tiling(hom, V, R):
     """Exact cover of [-R,R]^n by the translates of V over ker(phi).
 
@@ -247,10 +316,7 @@ def verify_window_tiling(hom, V, R):
     the window.
     """
     V = list(V)
-    spread = max(
-        max(v[i] for v in V) - min(v[i] for v in V) for i in range(hom.n)
-    )
-    return exact_cover(kernel_points_in_box(hom, R + spread), V, R)
+    return exact_cover(kernel_points_in_box(hom, R + tile_spread(V)), V, R)
 
 
 # --- exhaustive search ----------------------------------------------------

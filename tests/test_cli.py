@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -5,8 +6,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from leecodes import code_to_json, construct_dpl4
+from leecodes import cli, code_to_json, construct_dpl4, construct_pl1, restrict_to_zq
 from leecodes.cli import (
     EXIT_BUDGET,
     EXIT_DATA,
@@ -179,3 +182,143 @@ def test_decode_rejects_modulus_the_period_does_not_divide(code_file):
     with open(code_file, "w") as fh:
         json.dump(d, fh)
     assert run(["decode", "--code", code_file, "--word", "5,4,0"]) == EXIT_DATA
+
+
+DPL3 = json.loads(code_to_json(restrict_to_zq(construct_dpl4(3, 12), 12)))
+PL3 = json.loads(code_to_json(construct_pl1(3)))
+BASES = {"dpl4": DPL3, "pl1": PL3}
+
+
+_DROP = object()
+
+
+def _edited(d, path, value=_DROP):
+    """A deep copy of d with the field at path set to value, or dropped."""
+    d = copy.deepcopy(d)
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return d
+
+
+def _verify(tmp_path, d, window="2"):
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(d))
+    return run(["verify", "--code", str(path), "--window", window])
+
+
+def _field_id(v):
+    return ".".join(map(str, v)) if isinstance(v, tuple) else repr(v)[:20]
+
+
+@pytest.mark.parametrize("base,path,value", [
+    ("dpl4", ("group", 0), 12.5),
+    ("dpl4", ("basis", 0, 0), 12.7),
+    ("dpl4", ("n",), 3.0),
+    ("dpl4", ("n",), True),
+    ("dpl4", ("q",), "12"),
+    ("dpl4", ("q",), None),
+    ("dpl4", ("images", 0, 0), "1"),
+    ("dpl4", ("anticode", "r"), 1.0),
+    ("dpl4", ("anticode", "axis"), 9),
+    ("dpl4", ("anticode", "axis"), True),
+    ("dpl4", ("anticode", "kind"), "cube"),
+    ("dpl4", ("anticode", "r"), 2),
+    ("dpl4", ("anticode", "r"), 10 ** 12),
+    ("dpl4", ("images",), [[1], [3]]),
+    ("dpl4", ("images",), [[1, 0], [3, 0], [5, 0]]),
+    ("dpl4", ("images", 0), [13]),
+    ("dpl4", ("group",), [12, 1]),
+    ("dpl4", ("anticode",), [1]),
+    ("pl1", ("transversal",), "even-weight"),
+    ("dpl4", ("transversal",), "identity"),
+], ids=_field_id)
+def test_verify_malformed_field_is_data_error(tmp_path, base, path, value):
+    assert _verify(tmp_path, BASES[base]) == EXIT_OK
+    assert _verify(tmp_path, _edited(BASES[base], path, value)) == EXIT_DATA
+
+
+def test_window_bounds(code_file, tmp_path, capsys, monkeypatch):
+    for argv in (["verify", "--code", code_file, "--window", "-1"],
+                 ["verify", "--code", code_file, "--window", "0"],
+                 ["tile", "--code", code_file, "--window", "-3"],
+                 ["tile", "--code", code_file, "--window", "x"]):
+        assert run(argv) == EXIT_USAGE
+    big = tmp_path / "dpl8.json"
+    big.write_text(code_to_json(construct_dpl4(8, 8)))
+    capsys.readouterr()
+    assert run(["verify", "--code", str(big), "--window", "2"]) == EXIT_USAGE
+    assert "11^8" in capsys.readouterr().err
+    assert run(["tile", "--code", str(big), "--window", "6"]) == EXIT_USAGE
+    assert "13^8" in capsys.readouterr().err
+    # DPL(3,12) at R = 2: verify scans (2 * (2 + 3) + 1)^3, tile (2 * 2 + 1)^3
+    monkeypatch.setattr(cli, "MAX_WINDOW_POINTS", 11 ** 3)
+    assert run(["verify", "--code", code_file, "--window", "2"]) == EXIT_OK
+    assert run(["verify", "--code", code_file, "--window", "3"]) == EXIT_USAGE
+    monkeypatch.setattr(cli, "MAX_WINDOW_POINTS", 5 ** 3 - 1)
+    assert run(["tile", "--code", code_file, "--window", "2"]) == EXIT_USAGE
+    assert run(["tile", "--code", code_file, "--window", "1"]) == EXIT_OK
+
+
+def _fields(node, path=()):
+    """(path, value) of every field below node, depth first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,), value
+        yield from _fields(value, path + (key,))
+
+
+def _other_types(value):
+    """JSON values of a type other than value's: a float for an int counts."""
+    out = [None, "x", [], {}, True, 1.5]
+    if isinstance(value, int):
+        out += [float(value), str(value), [value]]
+    if isinstance(value, list):
+        out += [0, {"0": value}]
+    return [v for v in out if type(v) is not type(value)]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_descriptors_keep_the_exit_code_contract(tmp_path, data):
+    base = data.draw(st.sampled_from([DPL3, PL3]))
+    fields = list(_fields(base))
+    kind = data.draw(st.sampled_from(["drop", "retype", "shorten", "revalue"]))
+    if kind == "drop":
+        path, _ = data.draw(st.sampled_from(
+            [(p, v) for p, v in fields if isinstance(p[-1], str)]))
+        d = _edited(base, path)
+        # axis (1 when missing, as in both codes) and q are optional
+        optional = path[-1] in ("axis", "q")
+        allowed = {EXIT_OK, EXIT_NEGATIVE, EXIT_DATA} if optional else {EXIT_DATA}
+    elif kind == "retype":
+        path, value = data.draw(st.sampled_from(fields))
+        d = _edited(base, path, data.draw(st.sampled_from(_other_types(value))))
+        allowed = {EXIT_DATA}
+    elif kind == "shorten":
+        path, value = data.draw(st.sampled_from(
+            [(p, v) for p, v in fields if isinstance(v, list) and v]))
+        d = _edited(base, path, value[:-1])
+        allowed = {EXIT_DATA}
+    else:
+        path, value = data.draw(st.sampled_from(
+            [(p, v) for p, v in fields if isinstance(v, (int, str))]))
+        if isinstance(value, str):
+            new = st.sampled_from(["sphere", "double-sphere", "identity",
+                                   "even-weight", "cube", ""])
+        else:
+            new = st.one_of(st.integers(-3, 30), st.integers(-10 ** 6, 10 ** 6),
+                            st.just(2 ** 70))
+        d = _edited(base, path, data.draw(new))
+        allowed = {EXIT_OK, EXIT_NEGATIVE, EXIT_DATA}
+    assert _verify(tmp_path, d) in allowed

@@ -222,6 +222,22 @@ def test_json_roundtrip_bit_exact():
         assert again.q == code.q
 
 
+def test_json_roundtrip_dpl4_1024_16():
+    code = construct_dpl4(1024, 16)
+    text = code_to_json(code)
+    again = code_from_json(text)
+    assert again.basis.det_abs == 4096
+    assert code_to_json(again) == text
+
+
+def test_transversal_must_match_anticode_kind():
+    pl = json.loads(code_to_json(construct_pl1(3)))
+    dpl = json.loads(code_to_json(construct_dpl4(3, 12)))
+    for d, transversal in ((pl, EVEN_WEIGHT), (dpl, IDENTITY)):
+        with pytest.raises(DataFormatError, match="transversal"):
+            code_from_json(json.dumps(dict(d, transversal=transversal)))
+
+
 def test_code_from_json_validation():
     good = json.loads(code_to_json(construct_dpl4(2, 8)))
     with pytest.raises(DataFormatError):

@@ -15,6 +15,7 @@ from leecodes.lee import (
     even_weight_member,
     format_word,
     format_words,
+    lee_sphere_size,
     nonzeros,
     parse_word,
     parse_words,
@@ -101,6 +102,27 @@ def test_double_sphere_size_examples():
 def test_double_sphere_size_matches_enumeration_all_axes(n, r):
     for axis in range(1, n + 1):
         assert double_sphere_size(n, r) == len(double_sphere(n, r, axis))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_spheres_match_brute_force_all_axes(n, r):
+    sphere = brute_sphere(n, r)
+    assert lee_sphere_size(n, r) == len(sphere)
+    assert lee_sphere(n, r) == sorted(sphere)
+    for axis in range(1, n + 1):
+        e = tuple(int(i == axis - 1) for i in range(n))
+        shifted = {tuple(a + b for a, b in zip(w, e)) for w in sphere}
+        assert double_sphere(n, r, axis) == sorted(sphere | shifted)
+
+
+def test_lee_sphere_size_domain():
+    assert lee_sphere_size(1024, 1) == 2049
+    assert lee_sphere_size(3, 10 ** 12) > 10 ** 36
+    with pytest.raises(DomainError):
+        lee_sphere_size(0, 1)
+    with pytest.raises(DomainError):
+        lee_sphere_size(2, -1)
 
 
 @pytest.mark.parametrize("n,r", [(1, 1), (2, 1), (2, 3), (3, 2)])

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leecodes import (
     FiniteAbelianGroup,
@@ -11,17 +13,20 @@ from leecodes import (
     search_lattice_tiling,
     verify_window_tiling,
 )
+from leecodes import construct_dpl4, construct_pl1, tiling
 from leecodes.errors import DimensionError, SizeError, StructuralError
 from leecodes.tiling import (
     BUDGET_EXCEEDED,
     FOUND,
     NOT_FOUND,
+    abs_det,
     apply_hom,
     apply_hom_sparse,
     det_bareiss,
     exact_cover,
     hnf_lower,
     kernel_points_in_box,
+    tile_spread,
 )
 
 Z5 = FiniteAbelianGroup((5,))
@@ -71,6 +76,11 @@ def test_is_bijection_on_size_check():
         is_bijection_on(CROSS_HOM, lee_sphere(2, 2))
 
 
+def test_is_bijection_on_dimension_check():
+    with pytest.raises(DimensionError):
+        is_bijection_on(CROSS_HOM, [(0, 0), (1, 0), (0, 1), (-1, 0), (0, 0, 1)])
+
+
 def test_hnf_lower_canonical():
     H = hnf_lower([(2, 0), (1, 3)])
     assert H == ((2, 0), (1, 3)) or H[0][1] == 0
@@ -86,6 +96,79 @@ def test_det_bareiss_examples():
     assert det_bareiss([(1, 2), (3, 4)]) == -2
     assert det_bareiss([(2, 0, 0), (0, 3, 0), (0, 0, 5)]) == 30
     assert det_bareiss([(1, 1), (2, 2)]) == 0
+
+
+def test_abs_det_examples():
+    assert abs_det([(1, 2), (3, 4)]) == 2
+    assert abs_det([(2, 0, 0), (0, 3, 0), (0, 0, 5)]) == 30
+    assert abs_det([(1, 1), (2, 2)]) == 0
+    assert abs_det([(0, 0), (1, 2)]) == 0  # empty row
+    assert abs_det([(1, 0), (2, 0)]) == 0  # empty column
+    assert abs_det([(1, 0, 0), (0, 1, 1), (0, 2, 2)]) == 0  # singular core
+    assert abs_det([(1, 5, 0), (0, 2, 0), (0, 0, 3)]) == 6
+    assert abs_det([(2, 3, 0), (0, 0, 1), (0, 0, 1)]) == 0  # peeling empties a row
+    assert abs_det([(2, 0, 0), (3, 0, 0), (0, 1, 1)]) == 0  # and a column
+    assert abs_det([(5,)]) == 5
+    assert abs_det([]) == 1
+    with pytest.raises(DimensionError):
+        abs_det([(1, 2)])
+
+
+def test_abs_det_peels_stored_bases_completely(monkeypatch):
+    def no_core(mat):
+        raise AssertionError(f"abs_det left a {len(mat)} x {len(mat)} core")
+
+    bases = [construct_dpl4(n, q).basis for n, q in
+             [(3, 12), (4, 16), (24, 12), (60, 60), (100, 20), (64, 4)]]
+    bases += [kernel_basis(construct_dpl4(5, 20).hom), construct_pl1(6).basis,
+              kernel_basis(Homomorphism(FiniteAbelianGroup((4, 2)),
+                                        ((1, 0), (3, 1), (1, 1))))]
+    expected = [abs(det_bareiss(b.rows)) for b in bases]
+    monkeypatch.setattr(tiling, "det_bareiss", no_core)
+    for basis, det in zip(bases, expected):
+        assert abs_det(basis.rows) == det == basis.det_abs
+
+
+ENTRY = st.integers(-9, 9)
+
+
+@st.composite
+def square_matrices(draw):
+    """Dense, sparse, singular, or triangular under a row and column
+    permutation around a dense core, up to 7 x 7."""
+    k = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["dense", "sparse", "singular", "triangular"]))
+    if kind == "sparse":
+        entry = st.one_of(st.just(0), st.just(0), ENTRY)
+    else:
+        entry = ENTRY
+    m = [[draw(entry) for _ in range(k)] for _ in range(k)]
+    if kind == "singular":
+        a, b = draw(ENTRY), draw(ENTRY)
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        m[-1] = [a * x + b * y for x, y in zip(m[i], m[j])] if k > 1 else [0]
+    elif kind == "triangular":
+        core = draw(st.integers(0, k))
+        nonzero = ENTRY.filter(bool)
+        for i in range(k - core):
+            m[i][i] = draw(nonzero)
+            m[i][i + 1:] = [0] * (k - i - 1)
+        rows = draw(st.permutations(range(k)))
+        cols = draw(st.permutations(range(k)))
+        m = [[m[i][j] for j in cols] for i in rows]
+    return m
+
+
+@settings(max_examples=400, deadline=None)
+@given(square_matrices())
+def test_abs_det_matches_bareiss(m):
+    assert abs_det(m) == abs(det_bareiss(m))
+
+
+def test_tile_spread():
+    assert tile_spread(double_sphere(3, 1, 1)) == 3
+    assert tile_spread(lee_sphere(2, 2)) == 4
+    assert tile_spread([(0, 0)]) == 0
 
 
 def test_kernel_basis_cross():
