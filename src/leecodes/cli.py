@@ -25,9 +25,13 @@ EXIT_DATA = 65
 # takes about 0.1 s in CPython 3.11, of one near 10^18 minutes
 MAX_GROUP_ORDER = 10 ** 12
 
-# largest box a --window may make verify or tile scan, (2(R + spread) + 1)^n
-# and (2R + 1)^n points: the kernel scan visits about 10^6 points a second
-# in CPython 3.11, so about 10 s
+# largest box a --window may ask for: (2(R + spread) + 1)^n points for
+# verify, (2R + 1)^n for tile and (2(R + 4) + 1)^3 for nonregular.  Kernel
+# points are enumerated at a cost proportional to their number, about
+# box / |G|, but verify's cover marks up to box points, tile prints
+# box / |G| of them and nonregular keeps about box / 12 centers: at the
+# bound verify DPL(6,12) takes 0.3 s, tile 1.3 s and nonregular 4 s in
+# CPython 3.11 on a 2-vCPU VM
 MAX_WINDOW_POINTS = 10 ** 7
 
 
@@ -154,6 +158,9 @@ def cmd_decode(args):
 def cmd_nonregular(args):
     if args.n != 3:
         print("only n=3 is supported", file=sys.stderr)
+        return EXIT_USAGE
+    # the centers are solved for in the box [-(R + 4), R + 4]^3
+    if _window_too_large(args.window, 4, 3):
         return EXIT_USAGE
     t = nonregular.shifted_tiling_n3(args.bits, args.window)
     if args.out:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from itertools import product
 from math import prod
 
 from .errors import (
@@ -36,12 +35,12 @@ from .lee import (
 from .tiling import (
     Homomorphism,
     KernelBasis,
+    _kernel_points,
     abs_det,
     apply_hom,
     apply_hom_sparse,
     is_bijection_on,
     kernel_basis,
-    kernel_points_in_box,
     period,
 )
 
@@ -279,22 +278,26 @@ def codewords_mod_q(code):
     if code.q is None:
         raise DomainError("code has no modulus; restrict it first")
     q = code.q
-    identity = code.hom.group.identity
     return sorted(
         tuple(a % q for a in apply_transversal(code, x))
-        for x in product(range(q), repeat=code.n)
-        if apply_hom(code.hom, x) == identity
+        for x in _kernel_points(code.hom, [0] * code.n, [q - 1] * code.n)
     )
 
 
 def codewords_in_window(code, R):
-    """All codewords inside [-R,R]^n, sorted lexicographically."""
-    out = []
-    for l in kernel_points_in_box(code.hom, R + 1):
-        c = codeword_of_tile(code, l)
-        if all(-R <= x <= R for x in c):
-            out.append(c)
-    return sorted(set(out))
+    """All codewords inside [-R,R]^n, sorted lexicographically.
+
+    Under the even-weight transversal the codeword of kernel point l is
+    l or l + e_axis, so the l with l_axis = -R - 1 are enumerated too.
+    """
+    n = code.n
+    lo = [-R] * n
+    if code.transversal == IDENTITY:
+        return sorted(_kernel_points(code.hom, lo, [R] * n))
+    a = code.anticode.axis - 1
+    lo[a] = -R - 1
+    cws = (apply_transversal(code, l) for l in _kernel_points(code.hom, lo, [R] * n))
+    return sorted({c for c in cws if -R <= c[a] <= R})
 
 
 def _is_lattice_code(code):

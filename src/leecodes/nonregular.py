@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, StructuralError, WindowError
 from .groups import FiniteAbelianGroup, element_order
-from .lee import double_sphere, even_weight_member
+from .lee import double_sphere, even_weight_member, nonzeros
 from .tiling import Homomorphism, apply_hom, apply_hom_sparse, det_bareiss, exact_cover
 
 K1 = "K1"
@@ -102,7 +102,7 @@ def verify_nonregular(hom, n):
     half = half_lattice_hom(hom)
     G = hom.group
     W = double_cross_support(n)
-    images = {apply_hom(half, hw) for hw in W}
+    images = {apply_hom_sparse(half, nonzeros(hw)) for hw in W}
     if len(images) != len(W) or len(W) != G.order:
         return False
     return any(element_order(g, G) == G.order for g in hom.images[1:])

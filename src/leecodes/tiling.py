@@ -4,15 +4,16 @@ A homomorphism Z^n -> G is determined by the images of the unit vectors.
 The restriction being a bijection on a tile V is equivalent to the
 kernel lattice tiling Z^n by V; this module provides the evaluation
 of phi (the only one in the package, dense or sparse), the bijection
-check, an exact kernel-basis extraction, the tiling period, a
-finite-window exact-cover oracle, and the exhaustive search over groups
-and image assignments.
+check, an exact kernel-basis extraction, the kernel points of a box by
+back substitution on that basis, the tiling period, a finite-window
+exact-cover oracle, and the exhaustive search over groups and image
+assignments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
+from math import lcm, prod
 from operator import add, mul
 
 from .errors import (
@@ -224,15 +225,16 @@ def abs_det(rows):
     return det
 
 
-def kernel_basis(hom):
-    """Canonical lower-triangular basis of ker(phi) with |det| = |G|.
+def _kernel_hnf(hom):
+    """Lower-triangular Hermite basis of ker(phi), each row checked to lie in it.
 
     The relation system is lifted by appending one t_j-multiple row per
     group component and reduced by exact integer elimination; the rows
-    whose group part vanished project onto the kernel.
+    whose group part vanished span the kernel, which has rank n whether
+    or not phi is onto G.
     """
     G = hom.group
-    n = len(hom.images)
+    n = hom.n
     s = len(G.factors)
     rows = []
     for i, g in enumerate(hom.images):
@@ -244,16 +246,19 @@ def kernel_basis(hom):
     if len(kern) != n:
         raise ConstructionError(f"kernel rank {len(kern)} != {n}")
     basis = hnf_lower(kern)
-    det = 1
-    for i in range(n):
-        det *= basis[i][i]
-    det = abs(det)
-    if det != G.order:
-        raise ConstructionError(f"|det| = {det} != |G| = {G.order}")
     identity = G.identity
     for row in basis:
-        if apply_hom(hom, row) != identity:
+        if apply_hom_sparse(hom, nonzeros(row)) != identity:
             raise ConstructionError(f"basis row {row} not in kernel")
+    return basis
+
+
+def kernel_basis(hom):
+    """Canonical lower-triangular basis of ker(phi) with |det| = |G|."""
+    basis = _kernel_hnf(hom)
+    det = prod(basis[i][i] for i in range(hom.n))
+    if det != hom.group.order:
+        raise ConstructionError(f"|det| = {det} != |G| = {hom.group.order}")
     return KernelBasis(rows=basis, det_abs=det)
 
 
@@ -262,45 +267,101 @@ def period(hom):
     return lcm(*(element_order(g, hom.group) for g in hom.images)) if hom.images else 1
 
 
-def kernel_points_in_box(hom, bound):
-    """All l with |l_i| <= bound and phi(l) = identity, lexicographic.
+def _descend(B, j, part, lo, hi, suffix, out):
+    """Append (l_0, ..., l_j) + suffix to out for every kernel point l in the box.
 
-    Evaluates residues incrementally along the recursion, so each point
-    costs O(s) instead of O(n*s).
+    B is the lower-triangular Hermite basis; part[k], k <= j, is the sum
+    of z_i * B[i][k] over the rows i > j already chosen, so l_j =
+    part[j] + z_j * B[j][j] and the admissible l_j form the progression
+    of step B[j][j] through [lo[j], hi[j]].  A module-level function: a
+    closure that calls itself is a reference cycle, and each call's
+    output would then live until a full garbage collection.
     """
-    factors = hom.group.factors
-    s = len(factors)
-    n = hom.n
-    images = hom.images
+    d = B[j][j]
+    x = lo[j] + (part[j] - lo[j]) % d  # least l_j >= lo[j]
+    if j == 0:
+        out.extend([(y,) + suffix for y in range(x, hi[0] + 1, d)])
+        return
+    if x > hi[j]:
+        return
+    row = B[j][:j]
+    z = (x - part[j]) // d
+    part = [p + z * b for p, b in zip(part, row)]
+    while x <= hi[j]:
+        _descend(B, j - 1, part, lo, hi, (x,) + suffix, out)
+        x += d
+        part = list(map(add, part, row))
+
+
+def _kernel_points(hom, lo, hi):
+    """All l with lo[i] <= l_i <= hi[i] and phi(l) = identity, unordered.
+
+    Back substitution on the Hermite basis of ker(phi), at a cost of
+    O(n) per point: every point is in the kernel by construction, so
+    phi is evaluated only on the n basis rows.  phi need not be onto G.
+    """
+    if hom.n == 0:
+        return [()]
     out = []
+    _descend(_kernel_hnf(hom), hom.n - 1, [0] * hom.n, lo, hi, (), out)
+    return out
 
-    def rec(i, acc, prefix):
-        if i == n:
-            if all(x == 0 for x in acc):
-                out.append(tuple(prefix))
-            return
-        g = images[i]
-        cur = [(a - bound * gi) % t for a, gi, t in zip(acc, g, factors)]
-        for x in range(-bound, bound + 1):
-            rec(i + 1, cur, prefix + [x])
-            cur = [(c + gi) % t for c, gi, t in zip(cur, g, factors)]
 
-    rec(0, [0] * s, [])
+def kernel_points_in_box(hom, bound):
+    """All l with |l_i| <= bound and phi(l) = identity, lexicographic."""
+    out = _kernel_points(hom, [-bound] * hom.n, [bound] * hom.n)
+    out.sort()
     return out
 
 
 def exact_cover(centers, tile, R):
-    """Exact-cover oracle: every point of [-R,R]^n in exactly one translate c + tile."""
+    """Exact-cover oracle: every point of [-R,R]^n in exactly one translate c + tile.
+
+    Window points are marked in a bytearray indexed in mixed radix 2R+1,
+    so index(c + v) = index(c) + offset(v).  The members of c + tile
+    inside the window are found once per center, as the AND over the
+    axes of the bitmasks of the members with v_i >= -R - c_i and with
+    v_i <= R - c_i.
+    """
     n = len(tile[0])
-    covered = set()
+    if R < 0:
+        return False
+    side = 2 * R + 1
+    strides = [side ** i for i in range(n)]
+    offsets = [sum(map(mul, v, strides)) for v in tile]
+    full = (1 << len(tile)) - 1
+    # per axis: (lowest v_i, highest v_i, ge, le), where ge[a - lowest]
+    # and le[a - lowest] are the members with v_i >= a and with v_i <= a
+    axes = []
+    for col in zip(*tile):
+        m, M = min(col), max(col)
+        ge = [sum(1 << k for k, x in enumerate(col) if x >= a) for a in range(m, M + 1)]
+        le = [sum(1 << k for k, x in enumerate(col) if x <= a) for a in range(m, M + 1)]
+        axes.append((m, M, ge, le))
+    cover = bytearray(side ** n)
     for c in centers:
-        for v in tile:
-            p = tuple(map(add, c, v))
-            if -R <= min(p) and max(p) <= R:
-                if p in covered:
+        mask = full
+        base = 0
+        for (m, M, ge, le), x, stride in zip(axes, c, strides):
+            a = -R - x
+            b = R - x
+            if a > M or b < m:
+                break
+            if a > m:
+                mask &= ge[a - m]
+            if b < M:
+                mask &= le[b - m]
+            base += (x + R) * stride
+        else:
+            inside = offsets
+            if mask != full:
+                inside = [off for k, off in enumerate(offsets) if mask >> k & 1]
+            for off in inside:
+                i = base + off
+                if cover[i]:
                     return False
-                covered.add(p)
-    return len(covered) == (2 * R + 1) ** n
+                cover[i] = 1
+    return 0 not in cover
 
 
 def tile_spread(V):
@@ -311,12 +372,15 @@ def tile_spread(V):
 def verify_window_tiling(hom, V, R):
     """Exact cover of [-R,R]^n by the translates of V over ker(phi).
 
-    Translates are taken over kernel points within R plus the coordinate
-    spread of V, which bounds the translation vector of any tile touching
-    the window.
+    A translate l + V meets the window only if -R - max v_i <= l_i <=
+    R - min v_i on every axis, so the kernel points of that box are the
+    centers.
     """
     V = list(V)
-    return exact_cover(kernel_points_in_box(hom, R + tile_spread(V)), V, R)
+    axes = list(zip(*V))
+    lo = [-R - max(col) for col in axes]
+    hi = [R - min(col) for col in axes]
+    return exact_cover(_kernel_points(hom, lo, hi), V, R)
 
 
 # --- exhaustive search ----------------------------------------------------

@@ -128,6 +128,18 @@ def test_nonregular(tmp_path, capsys):
         == EXIT_USAGE
 
 
+def test_nonregular_window_bound(monkeypatch, capsys):
+    # the scan box (2 * (R + 4) + 1)^3 is refused before any enumeration
+    def enumerate_anyway(bits, R):
+        raise AssertionError(f"shifted_tiling_n3 called with R = {R}")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli.nonregular, "shifted_tiling_n3", enumerate_anyway)
+        assert run(["nonregular", "--bits", "101", "--window", "400"]) == EXIT_USAGE
+    assert "809^3" in capsys.readouterr().err
+    assert run(["nonregular", "--bits", "101", "--window", "24"]) == EXIT_OK
+
+
 def test_usage_errors():
     assert run([]) == EXIT_USAGE
     assert run(["no-such-command"]) == EXIT_USAGE

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -19,8 +20,10 @@ from leecodes import (
     restrict_to_zq,
 )
 from leecodes.codes import (
+    DOUBLE_SPHERE,
     EVEN_WEIGHT,
     IDENTITY,
+    AnticodeSpec,
     factorization_profile,
     _squarefree_chain,
 )
@@ -30,7 +33,7 @@ from leecodes.errors import (
     MembershipError,
     PeriodicityError,
 )
-from leecodes.tiling import apply_hom, det_bareiss
+from leecodes.tiling import apply_hom, det_bareiss, kernel_points_in_box
 
 
 def admissible_oracle(n, q):
@@ -193,6 +196,45 @@ def test_codewords_in_window():
         # even transversal with an all-even kernel: codewords are kernel points
         assert apply_hom(code.hom, c) == identity
         assert lee_weight(c) % 2 == 0
+
+
+CERTIFY_CODES = [("dpl4", 3, 12), ("dpl4", 4, 8), ("pl1", 2, 5), ("pl1", 3, 7), ("pl1", 4, 9)]
+
+
+def _code(kind, n, q):
+    return construct_dpl4(n, q) if kind == "dpl4" else construct_pl1(n)
+
+
+@pytest.mark.parametrize("kind, n, q", CERTIFY_CODES)
+def test_codewords_mod_q_matches_box_filter(kind, n, q):
+    code = _code(kind, n, q)
+    identity = code.hom.group.identity
+    want = sorted(
+        tuple(a % q for a in codeword_of_tile(code, x))
+        for x in product(range(q), repeat=n)
+        if apply_hom(code.hom, x) == identity
+    )
+    assert codewords_mod_q(restrict_to_zq(code, q)) == want
+
+
+def _odd_kernel_code(n, axis):
+    """The PL(n,1) kernel under the even-weight transversal on `axis`: its
+    odd-weight kernel points shift by e_axis, so the codewords are not a
+    lattice."""
+    return replace(construct_pl1(n), transversal=EVEN_WEIGHT,
+                   anticode=AnticodeSpec(DOUBLE_SPHERE, n, 1, axis))
+
+
+@pytest.mark.parametrize("code", [_code(*c) for c in CERTIFY_CODES]
+                         + [construct_dpl4(4, 16), construct_pl1(5),
+                            _odd_kernel_code(2, 1), _odd_kernel_code(3, 2)])
+def test_codewords_in_window_matches_box_filter(code):
+    for R in (1, 2):
+        want = sorted({
+            c for c in (codeword_of_tile(code, l) for l in kernel_points_in_box(code.hom, R + 1))
+            if all(-R <= x <= R for x in c)
+        })
+        assert codewords_in_window(code, R) == want
 
 
 def test_min_distance_examples():

@@ -1,4 +1,5 @@
 from itertools import product
+from operator import add
 
 import pytest
 
@@ -8,7 +9,8 @@ from leecodes import (
     component_index_n3,
     construct_double_cross_hom,
     half_kernel_basis,
-    lee_distance,
+    lee_sphere,
+    lee_weight,
     shifted_tiling_n3,
     verify_cover,
     verify_nonregular,
@@ -192,15 +194,15 @@ def test_code_from_window_tiling():
     t = shifted_tiling_n3("101", 24)
     cws = code_from_window_tiling(t)
     assert len(cws) == len(t.centers)
-    from leecodes import lee_weight
     assert all(lee_weight(c) % 2 == 0 for c in cws)
-    # codewords deep inside the window keep pairwise distance >= 4
-    inner = [c for c in cws if all(-20 <= x <= 20 for x in c)]
-    worst = min(
-        lee_distance(u, v)
-        for i, u in enumerate(inner) for v in inner[i + 1:]
-    )
-    assert worst == 4
+    # codewords deep inside the window keep pairwise distance >= 4, and 4
+    # is attained: no member of inner has another within Lee distance 3,
+    # and some pair is at distance exactly 4
+    inner = {c for c in cws if all(-20 <= x <= 20 for x in c)}
+    ball3 = [v for v in lee_sphere(3, 3) if any(v)]
+    weight4 = [v for v in lee_sphere(3, 4) if lee_weight(v) == 4]
+    assert not any(tuple(map(add, u, v)) in inner for u in inner for v in ball3)
+    assert any(tuple(map(add, u, v)) in inner for u in inner for v in weight4)
 
 
 def test_shifted_tiling_json_roundtrip():

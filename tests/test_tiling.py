@@ -1,3 +1,6 @@
+from itertools import product
+from operator import add
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -248,6 +251,97 @@ def test_bijection_iff_window_tiling():
         for b in range(8):
             hom = Homomorphism(G, ((a,), (b,)))
             assert is_bijection_on(hom, V) == verify_window_tiling(hom, V, 5)
+
+
+def test_verify_window_tiling_tile_off_the_origin():
+    # translates of a tile that misses the origin reach the window from
+    # beyond the tile's spread
+    hom3 = Homomorphism(FiniteAbelianGroup((3,)), ((1,),))
+    assert verify_window_tiling(hom3, [(5,), (6,), (7,)], 1)
+    cross = [(x + 4, y - 3) for x, y in lee_sphere(2, 1)]
+    assert verify_window_tiling(CROSS_HOM, cross, 3)
+    assert not verify_window_tiling(Homomorphism(Z5, ((1,), (4,))), cross, 4)
+
+
+def _factor_tuples(limit):
+    """Every tuple of cyclic factors >= 2 with product <= limit, () included."""
+    out = [()]
+    for t in range(2, limit + 1):
+        out += [(t,) + rest for rest in _factor_tuples(limit // t)]
+    return out
+
+
+@st.composite
+def maps_and_bounds(draw):
+    """phi: Z^n -> G with |G| <= 24 and n <= 4, images often zero (phi need
+    not be onto), and a box bound 0..3."""
+    factors = draw(st.sampled_from(_factor_tuples(24)))
+    zero = (0,) * len(factors)
+    image = st.tuples(*(st.integers(0, t - 1) for t in factors))
+    n = draw(st.integers(1, 4))
+    images = draw(st.lists(st.one_of(st.just(zero), image), min_size=n, max_size=n))
+    return Homomorphism(FiniteAbelianGroup(factors), images), draw(st.integers(0, 3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(maps_and_bounds())
+def test_kernel_points_in_box_matches_box_filter(case):
+    hom, bound = case
+    box = product(range(-bound, bound + 1), repeat=hom.n)
+    identity = hom.group.identity
+    assert kernel_points_in_box(hom, bound) == [p for p in box if apply_hom(hom, p) == identity]
+
+
+def exact_cover_by_set(centers, tile, R):
+    """The reference oracle: covered window points as a set of tuples."""
+    n = len(tile[0])
+    covered = set()
+    for c in centers:
+        for v in tile:
+            p = tuple(map(add, c, v))
+            if -R <= min(p) and max(p) <= R:
+                if p in covered:
+                    return False
+                covered.add(p)
+    return len(covered) == (2 * R + 1) ** n
+
+
+TILINGS = (
+    (Homomorphism(FiniteAbelianGroup((3,)), ((1,),)), [(-1,), (0,), (1,)]),
+    (CROSS_HOM, lee_sphere(2, 1)),
+    (Homomorphism(FiniteAbelianGroup((8,)), ((1,), (3,))), double_sphere(2, 1, 1)),
+    (Homomorphism(FiniteAbelianGroup((7,)), ((1,), (2,), (3,))), lee_sphere(3, 1)),
+)
+
+
+@st.composite
+def covers(draw):
+    """(centers, tile, R): a lattice tiling with centers dropped, repeated or
+    added, or random centers and tile; duplicates and far centers included."""
+    R = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        hom, tile = draw(st.sampled_from(TILINGS))
+        centers = kernel_points_in_box(hom, R + draw(st.integers(0, 3)))
+        drop = draw(st.sets(st.integers(0, len(centers) - 1), max_size=2))
+        centers = [c for i, c in enumerate(centers) if i not in drop]
+    else:
+        n = draw(st.integers(1, 3))
+        tile = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=8))
+        centers = []
+    n = len(tile[0])
+    point = st.tuples(*[st.integers(-R - 4, R + 4)] * n)
+    extra = st.sampled_from(centers) if centers else point
+    centers = centers + draw(st.lists(st.one_of(point, extra), max_size=30))
+    if draw(st.booleans()):
+        tile = tile + [draw(st.sampled_from(tile))]
+    return draw(st.permutations(centers)), tile, R
+
+
+@settings(max_examples=600, deadline=None)
+@given(covers())
+def test_exact_cover_matches_set_oracle(case):
+    centers, tile, R = case
+    assert exact_cover(centers, tile, R) == exact_cover_by_set(centers, tile, R)
 
 
 def test_search_not_found_certificate():
