@@ -29,9 +29,10 @@ MAX_GROUP_ORDER = 10 ** 12
 # verify, (2R + 1)^n for tile and (2(R + 4) + 1)^3 for nonregular.  Kernel
 # points are enumerated at a cost proportional to their number, about
 # box / |G|, but verify's cover marks up to box points, tile prints
-# box / |G| of them and nonregular keeps about box / 12 centers: at the
-# bound verify DPL(6,12) takes 0.3 s, tile 1.3 s and nonregular 4 s in
-# CPython 3.11 on a 2-vCPU VM
+# box / |G| of them and nonregular keeps about (2(R + 2) + 1)^3 / 12
+# centers: at the bound verify DPL(6,12) takes 0.3 s, tile 1.3 s and
+# nonregular 2.5 s (783058 centers at R = 103) in CPython 3.11 on a
+# 2-vCPU VM
 MAX_WINDOW_POINTS = 10 ** 7
 
 
@@ -159,7 +160,12 @@ def cmd_nonregular(args):
     if args.n != 3:
         print("only n=3 is supported", file=sys.stderr)
         return EXIT_USAGE
-    # the centers are solved for in the box [-(R + 4), R + 4]^3
+    low = 6 * len(args.bits) + 6
+    if any(b not in "01" for b in args.bits) or args.window < low:
+        print(f"--bits must be 0s and 1s and --window >= {low}", file=sys.stderr)
+        return EXIT_USAGE
+    # the centers are shifted kernel points with |x_1| <= R + 5/2 and
+    # |x_2|, |x_3| <= R + 2; reach 4 keeps 103 the largest window accepted
     if _window_too_large(args.window, 4, 3):
         return EXIT_USAGE
     t = nonregular.shifted_tiling_n3(args.bits, args.window)
@@ -188,15 +194,15 @@ def _budget(text):
         raise argparse.ArgumentTypeError(f"invalid budget {text!r}") from None
 
 
-def _window(text):
-    """A window radius R >= 1."""
+def _positive(text):
+    """An integer >= 1: a window radius R or a modulus q."""
     try:
-        R = int(text)
+        k = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid window {text!r}") from None
-    if R < 1:
-        raise argparse.ArgumentTypeError(f"window must be >= 1, got {R}")
-    return R
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {k}")
+    return k
 
 
 def build_parser():
@@ -233,12 +239,12 @@ def build_parser():
 
     sp = add("verify", cmd_verify, help="verify a code file on a window")
     sp.add_argument("--code", required=True)
-    sp.add_argument("--window", type=_window, required=True)
+    sp.add_argument("--window", type=_positive, required=True)
 
     sp = add("decode", cmd_decode, help="decode a word with a code file")
     sp.add_argument("--code", required=True)
     sp.add_argument("--word", required=True)
-    sp.add_argument("--mod", type=int)
+    sp.add_argument("--mod", type=_positive)
 
     sp = add("nonregular", cmd_nonregular, help="n=3 shifted window tiling")
     sp.add_argument("--n", type=int, default=3)
@@ -248,7 +254,7 @@ def build_parser():
 
     sp = add("tile", cmd_tile, help="kernel tile centers of a code in a window")
     sp.add_argument("--code", required=True)
-    sp.add_argument("--window", type=_window, required=True)
+    sp.add_argument("--window", type=_positive, required=True)
 
     return p
 

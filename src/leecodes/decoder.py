@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from operator import sub
 
 from .codes import apply_transversal
-from .errors import ConstructionError, PeriodicityError
+from .errors import ConstructionError, DomainError, PeriodicityError
 from .groups import lex_rank
 from .lee import format_word, nonzeros
 from .tiling import apply_hom, apply_hom_sparse, period
@@ -77,6 +77,8 @@ def decode(table, a):
 
 def decode_modular(table, a, q):
     """Decode in Z_q^n: decode any lift, then reduce the codeword mod q."""
+    if q < 1:
+        raise DomainError(f"modulus must be >= 1, got {q}")
     if q % table._period != 0:
         raise PeriodicityError(f"period {table._period} does not divide q = {q}")
     res = decode(table, tuple(a))

@@ -37,19 +37,11 @@ class FiniteAbelianGroup:
             0 <= x < t for x, t in zip(a, self.factors)
         )
 
-    def reduce(self, a):
-        if len(a) != len(self.factors):
-            raise StructuralError("element length does not match factors")
-        return tuple(x % t for x, t in zip(a, self.factors))
-
     def add(self, a, b):
         return tuple((x + y) % t for x, y, t in zip(a, b, self.factors))
 
     def neg(self, a):
         return tuple((-x) % t for x, t in zip(a, self.factors))
-
-    def scale(self, k, a):
-        return tuple((k * x) % t for x, t in zip(a, self.factors))
 
     def elements(self):
         """All elements in lexicographic order."""

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 from .errors import DomainError, StructuralError, WindowError
 from .groups import FiniteAbelianGroup, element_order
-from .lee import double_sphere, even_weight_member, nonzeros
-from .tiling import Homomorphism, apply_hom, apply_hom_sparse, det_bareiss, exact_cover
+from .lee import double_sphere, even_weight_member
+from .tiling import (Homomorphism, _kernel_points, abs_det, apply_hom, exact_cover,
+                     is_bijection_on)
 
 K1 = "K1"
 K2 = "K2"
@@ -102,8 +103,7 @@ def verify_nonregular(hom, n):
     half = half_lattice_hom(hom)
     G = hom.group
     W = double_cross_support(n)
-    images = {apply_hom_sparse(half, nonzeros(hw)) for hw in W}
-    if len(images) != len(W) or len(W) != G.order:
+    if len(W) != G.order or not is_bijection_on(half, W):
         return False
     return any(element_order(g, G) == G.order for g in hom.images[1:])
 
@@ -129,9 +129,9 @@ def half_kernel_basis():
     for hw in rows:
         if apply_hom(half, hw.doubled) != half.group.identity:
             raise StructuralError(f"{hw} is not in the kernel")
-    det2 = det_bareiss([hw.doubled for hw in rows])
+    det2 = abs_det([hw.doubled for hw in rows])
     assert det2 % 2 == 0
-    return HalfKernelBasis(rows=rows, det_abs=abs(det2) // 2)
+    return HalfKernelBasis(rows=rows, det_abs=det2 // 2)
 
 
 def component_index_n3(center):
@@ -176,35 +176,30 @@ def shifted_tiling_n3(bits, R):
             f"window R = {R} too small for {len(bits)} components; need >= "
             f"{6 * len(bits) + 6}"
         )
-    half = half_lattice_hom(construct_double_cross_hom(3))
-    mod = half.group.order  # 24
-    g3_inv = pow(half.images[2][0], -1, mod)  # phi(e_3) = 13
-    margin = 4
     lim = R + 2
+    # doubled shift of every center with x_2 + x_3 = s: 0 on K1, +-1 on K2
+    shift = {}
+    for s in range(-2 * lim, 2 * lim + 1):
+        kind, m = component_index_n3((0, s, 0))
+        up = kind == K2 and 1 <= m <= len(bits) and bits[m - 1] == "1"
+        shift[s] = 0 if kind == K1 else 1 if up else -1
+    # a shift of at most 1/2 along axis 1 brings d1 / 2 into [-lim, lim]
+    # only from d1 in [-2 * lim - 1, 2 * lim + 1]
+    half = half_lattice_hom(construct_double_cross_hom(3))
+    box = _kernel_points(half, [-2 * lim - 1, -lim, -lim], [2 * lim + 1, lim, lim])
     centers = []
-    for d1 in range(-2 * (R + margin), 2 * (R + margin) + 1):
-        for x2 in range(-(R + margin), R + margin + 1):
-            # solve phi(d1/2, x2, 0) + x3*phi(e_3) = 0 (mod 24) for x3
-            (base,) = apply_hom_sparse(half, ((0, d1), (1, x2)))
-            x3_0 = (-base * g3_inv) % mod
-            start = -(R + margin)
-            x3 = start + ((x3_0 - start) % mod)
-            while x3 <= R + margin:
-                kind, m = component_index_n3((0, x2, x3))
-                if kind == K1:
-                    shifted = d1
-                else:
-                    up = 1 <= m <= len(bits) and bits[m - 1] == "1"
-                    shifted = d1 + 1 if up else d1 - 1
-                if shifted % 2 != 0:
-                    raise StructuralError(
-                        f"shifted center ({shifted}/2,{x2},{x3}) is not integral"
-                    )
-                c = (shifted // 2, x2, x3)
-                if all(-lim <= x <= lim for x in c):
-                    centers.append(c)
-                x3 += mod
-    return ShiftedWindowTiling(R=R, bits=bits, centers=tuple(sorted(set(centers))))
+    for d1, x2, x3 in box:
+        shifted = d1 + shift[x2 + x3]
+        if shifted % 2 != 0:
+            raise StructuralError(
+                f"shifted center ({shifted}/2,{x2},{x3}) is not integral"
+            )
+        c1 = shifted // 2
+        if -lim <= c1 <= lim:
+            centers.append((c1, x2, x3))
+    # distinct: kernel points are, and the shift depends on x_2 + x_3 only
+    centers.sort()
+    return ShiftedWindowTiling(R=R, bits=bits, centers=tuple(centers))
 
 
 def verify_cover(tiling):

@@ -110,6 +110,14 @@ def test_decode(code_file, capsys):
     assert run(["decode", "--code", code_file, "--word=-1,2,0"]) == EXIT_OK
 
 
+def test_decode_nonpositive_modulus_is_usage_error(code_file, capsys):
+    for q in ("0", "-12", "abc", "1.5"):
+        assert run(["decode", "--code", code_file, "--word", "5,4,0",
+                    "--mod=" + q]) == EXIT_USAGE, q
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "must be >= 1" in err
+
+
 def test_tile(code_file, capsys):
     assert run(["tile", "--code", code_file, "--window", "6", "--json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
@@ -138,6 +146,23 @@ def test_nonregular_window_bound(monkeypatch, capsys):
         assert run(["nonregular", "--bits", "101", "--window", "400"]) == EXIT_USAGE
     assert "809^3" in capsys.readouterr().err
     assert run(["nonregular", "--bits", "101", "--window", "24"]) == EXIT_OK
+
+
+def test_nonregular_bad_arguments_are_usage_errors(monkeypatch, capsys):
+    # bits that are not 0/1 and windows below 6 * len(bits) + 6 are refused
+    # before any enumeration
+    def enumerate_anyway(bits, R):
+        raise AssertionError(f"shifted_tiling_n3 called with {bits!r}, R = {R}")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli.nonregular, "shifted_tiling_n3", enumerate_anyway)
+        for bits, window in [("2", "24"), ("10x", "30"), ("101", "23"),
+                             ("101", "0"), ("101", "-5"), ("", "5"), ("1", "-12")]:
+            assert run(["nonregular", "--bits", bits, "--window=" + window]) \
+                == EXIT_USAGE, (bits, window)
+    assert "--window >= 24" in capsys.readouterr().err
+    assert run(["nonregular", "--bits", "101", "--window", "24"]) == EXIT_OK
+    assert run(["nonregular", "--bits", "", "--window", "6"]) == EXIT_OK
 
 
 def test_usage_errors():

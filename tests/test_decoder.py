@@ -13,7 +13,12 @@ from leecodes import (
     lee_distance,
     lex_rank,
 )
-from leecodes.errors import ConstructionError, DimensionError, PeriodicityError
+from leecodes.errors import (
+    ConstructionError,
+    DimensionError,
+    DomainError,
+    PeriodicityError,
+)
 from leecodes.tiling import apply_hom
 
 
@@ -96,6 +101,13 @@ def test_decode_modular_rejects_bad_modulus():
     table = build_decoder_table(construct_dpl4(3, 12))
     with pytest.raises(PeriodicityError):
         decode_modular(table, (0, 0, 0), 9)
+
+
+def test_decode_modular_rejects_nonpositive_modulus():
+    table = build_decoder_table(construct_dpl4(3, 12))
+    for q in (0, -12):
+        with pytest.raises(DomainError):
+            decode_modular(table, (5, 4, 0), q)
 
 
 def test_decode_distance_bound():

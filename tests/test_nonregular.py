@@ -16,6 +16,7 @@ from leecodes import (
     verify_nonregular,
 )
 from leecodes.errors import DomainError, StructuralError, WindowError
+from leecodes.groups import FiniteAbelianGroup
 from leecodes.nonregular import (
     K1,
     K2,
@@ -80,6 +81,13 @@ def test_verify_nonregular_negative():
     no_half = Homomorphism(hom.group, hom.images)
     with pytest.raises(StructuralError):
         verify_nonregular(no_half, 3)
+
+
+def test_verify_nonregular_wrong_group_order_is_false():
+    # |W| = 8n but |G| = 48: a plain negative, not a SizeError
+    hom = Homomorphism(FiniteAbelianGroup((48,)), ((6,), (1,), (13,)),
+                       half_image=(3,))
+    assert verify_nonregular(hom, 3) is False
 
 
 def test_half_kernel_basis():
@@ -178,6 +186,53 @@ def test_shifted_tiling_families_distinct():
         key = t.centers
         assert key not in seen, f"{bits} collides with {seen.get(key)}"
         seen[key] = bits
+
+
+def congruence_loop_centers(bits, R):
+    """The shifted centers by the original per-(d1, x2) congruence solve.
+
+    For every d1 and x2 of the box [-(R + 4), R + 4], x3 runs through the
+    solutions of 3*d1 + x2 + 13*x3 = 0 (mod 24); each center is then
+    shifted by its component and kept if it lies in [-(R + 2), R + 2]^3.
+    """
+    mod = 24
+    g3_inv = pow(13, -1, mod)
+    margin = 4
+    lim = R + 2
+    centers = []
+    for d1 in range(-2 * (R + margin), 2 * (R + margin) + 1):
+        for x2 in range(-(R + margin), R + margin + 1):
+            x3_0 = (-(3 * d1 + x2) * g3_inv) % mod
+            start = -(R + margin)
+            x3 = start + ((x3_0 - start) % mod)
+            while x3 <= R + margin:
+                kind, m = component_index_n3((0, x2, x3))
+                if kind == K1:
+                    shifted = d1
+                else:
+                    up = 1 <= m <= len(bits) and bits[m - 1] == "1"
+                    shifted = d1 + 1 if up else d1 - 1
+                assert shifted % 2 == 0
+                c = (shifted // 2, x2, x3)
+                if all(-lim <= x <= lim for x in c):
+                    centers.append(c)
+                x3 += mod
+    return tuple(sorted(set(centers)))
+
+
+@pytest.mark.parametrize(
+    "bits", ["".join(p) for k in range(5) for p in product("01", repeat=k)]
+)
+def test_shifted_tiling_equals_congruence_loop(bits):
+    # the loop's output at R is its output at a larger R cut to
+    # [-(R + 2), R + 2]^3, so one reference run serves every R
+    low = 6 * len(bits) + 6
+    windows = sorted(set(range(low, low + 8)) | {30})
+    reference = congruence_loop_centers(bits, windows[-1])
+    reach = [max(map(abs, c)) for c in reference]
+    for R in windows:
+        want = tuple(c for c, r in zip(reference, reach) if r <= R + 2)
+        assert shifted_tiling_n3(bits, R).centers == want, (bits, R)
 
 
 def test_shifted_tiling_window_too_small():
