@@ -26,13 +26,14 @@ EXIT_DATA = 65
 MAX_GROUP_ORDER = 10 ** 12
 
 # largest box a --window may ask for: (2(R + spread) + 1)^n points for
-# verify, (2R + 1)^n for tile and (2(R + 4) + 1)^3 for nonregular.  Kernel
+# verify, (2R + 1)^n for tile and (2(R + 4) + 1)^3 for nonregular; also
+# the largest n^2 basis entries pl1 and construct --n may emit.  Kernel
 # points are enumerated at a cost proportional to their number, about
 # box / |G|, but verify's cover marks up to box points, tile prints
 # box / |G| of them and nonregular keeps about (2(R + 2) + 1)^3 / 12
-# centers: at the bound verify DPL(6,12) takes 0.3 s, tile 1.3 s and
-# nonregular 2.5 s (783058 centers at R = 103) in CPython 3.11 on a
-# 2-vCPU VM
+# centers: at the bound verify DPL(6,12) takes 0.3 s, tile 1.3 s,
+# nonregular 2.5 s (783058 centers at R = 103) and pl1 --n 3162 5.7 s
+# and 250 MB in CPython 3.11 on a 2-vCPU VM
 MAX_WINDOW_POINTS = 10 ** 7
 
 
@@ -51,12 +52,31 @@ def _load_code(path):
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
 
 
+def _load_tile(path):
+    """The words of a tile file, one per line; DataFormatError unless they
+    are a nonempty set of words of one length."""
+    try:
+        with open(path) as fh:
+            V = lee.parse_words(fh.read())
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    except LeeCodeError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    if not V:
+        raise DataFormatError(f"{path}: no words")
+    if len(set(V)) != len(V):
+        raise DataFormatError(f"{path}: duplicate words; a tile is a set")
+    return V
+
+
 def _write_out(path, text):
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
 
 def cmd_construct(args):
+    if _basis_too_large(args.n):
+        return EXIT_USAGE
     try:
         code = codes.construct_dpl4(args.n, args.q)
     except LeeCodeError as exc:
@@ -71,6 +91,8 @@ def cmd_construct(args):
 
 
 def cmd_pl1(args):
+    if _basis_too_large(args.n):
+        return EXIT_USAGE
     code = codes.construct_pl1(args.n)
     if args.out:
         _write_out(args.out, codes.code_to_json(code))
@@ -87,8 +109,7 @@ def cmd_admissible(args):
 
 
 def cmd_search(args):
-    with open(args.anticode) as fh:
-        V = lee.parse_words(fh.read())
+    V = _load_tile(args.anticode)
     result = tiling.search_lattice_tiling(V, budget=args.budget)
     cert = result.certificate()
     if result.status == tiling.FOUND:
@@ -112,15 +133,23 @@ def cmd_groups(args):
     return EXIT_OK
 
 
-def _window_too_large(window, reach, n):
-    """True, with the estimate on stderr, if the scan box of side
-    2 * (window + reach) + 1 in n dimensions exceeds MAX_WINDOW_POINTS."""
-    side = 2 * (window + reach) + 1
+def _too_large(what, side, n, unit):
+    """True, with the estimate on stderr, if side^n exceeds MAX_WINDOW_POINTS."""
     if side ** n <= MAX_WINDOW_POINTS:
         return False
-    print(f"--window {window} scans {side}^{n} (about 10^{int(n * log10(side))}) "
-          f"points, more than {MAX_WINDOW_POINTS}", file=sys.stderr)
+    print(f"{what} {side}^{n} (about 10^{int(n * log10(side))}) {unit}, "
+          f"more than {MAX_WINDOW_POINTS}", file=sys.stderr)
     return True
+
+
+def _window_too_large(window, reach, n):
+    """The scan box of side 2 * (window + reach) + 1 in n dimensions."""
+    return _too_large(f"--window {window} scans", 2 * (window + reach) + 1, n, "points")
+
+
+def _basis_too_large(n):
+    """The n x n basis that pl1 and construct emit."""
+    return _too_large(f"--n {n} emits", n, 2, "basis entries")
 
 
 def cmd_verify(args):
@@ -128,28 +157,27 @@ def cmd_verify(args):
     V = code.anticode.points()
     if _window_too_large(args.window, tiling.tile_spread(V), code.n):
         return EXIT_USAGE
-    bij = tiling.is_bijection_on(code.hom, V)
-    cover = bij and tiling.verify_window_tiling(code.hom, V, args.window)
+    # the load proved phi bijective on V
+    cover = tiling.verify_window_tiling(code.hom, V, args.window)
     d = code.anticode.diameter + 1
     mind = codes.min_distance_window(code, args.window) if cover else None
     ok = cover and mind is not None and mind >= d
     _emit(args,
-          f"bijection={bij} window_cover={cover} min_distance={mind} "
+          f"bijection=True window_cover={cover} min_distance={mind} "
           f"required>={d} -> {'verified' if ok else 'FAILED'}",
-          {"bijection": bij, "window_cover": cover, "min_distance": mind,
+          {"bijection": True, "window_cover": cover, "min_distance": mind,
            "required": d, "verified": ok})
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
 def cmd_decode(args):
     code = _load_code(args.code)
-    word = lee.parse_word(args.word)
     table = decoder.build_decoder_table(code)
     if args.mod is not None:
-        cw = decoder.decode_modular(table, word, args.mod)
+        cw = decoder.decode_modular(table, args.word, args.mod)
         _emit(args, lee.format_word(cw), {"codeword": list(cw), "q": args.mod})
     else:
-        res = decoder.decode(table, word)
+        res = decoder.decode(table, args.word)
         _emit(args, lee.format_word(res.codeword),
               {"codeword": list(res.codeword),
                "tile_vector": list(res.tile_vector)})
@@ -195,7 +223,8 @@ def _budget(text):
 
 
 def _positive(text):
-    """An integer >= 1: a window radius R or a modulus q."""
+    """An integer >= 1: a window radius R, a modulus q, a dimension n or
+    a group order."""
     try:
         k = int(text)
     except ValueError:
@@ -203,6 +232,14 @@ def _positive(text):
     if k < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {k}")
     return k
+
+
+def _word(text):
+    """A word written as comma-separated integers."""
+    try:
+        return lee.parse_word(text)
+    except LeeCodeError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser():
@@ -218,16 +255,16 @@ def build_parser():
         return sp
 
     sp = add("construct", cmd_construct, help="build a DPL(n,4,q) code")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_positive, required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--out")
 
     sp = add("pl1", cmd_pl1, help="build the classical PL(n,1) code")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_positive, required=True)
     sp.add_argument("--out")
 
     sp = add("admissible", cmd_admissible, help="test modulus admissibility")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_positive, required=True)
     sp.add_argument("--q", type=int, required=True)
 
     sp = add("search", cmd_search, help="search for a lattice tiling by a tile file")
@@ -235,7 +272,7 @@ def build_parser():
     sp.add_argument("--budget", type=_budget, default=tiling.DEFAULT_BUDGET)
 
     sp = add("groups", cmd_groups, help="enumerate Abelian groups of an order")
-    sp.add_argument("--order", type=int, required=True)
+    sp.add_argument("--order", type=_positive, required=True)
 
     sp = add("verify", cmd_verify, help="verify a code file on a window")
     sp.add_argument("--code", required=True)
@@ -243,7 +280,7 @@ def build_parser():
 
     sp = add("decode", cmd_decode, help="decode a word with a code file")
     sp.add_argument("--code", required=True)
-    sp.add_argument("--word", required=True)
+    sp.add_argument("--word", type=_word, required=True)
     sp.add_argument("--mod", type=_positive)
 
     sp = add("nonregular", cmd_nonregular, help="n=3 shifted window tiling")

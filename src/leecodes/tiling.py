@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import lcm, prod
-from operator import add, mul
+from operator import mul, sub
 
 from .errors import (
     ConstructionError,
@@ -130,17 +130,6 @@ def _hnf_rows(mat):
     return A
 
 
-def hnf_lower(rows):
-    """Unique lower-triangular Hermite form of a full-rank integer basis.
-
-    Diagonal positive; entries left of the diagonal reduced into
-    [0, diagonal of their column).
-    """
-    flipped = [list(r)[::-1] for r in rows]
-    H = _hnf_rows(flipped)
-    return tuple(tuple(row[::-1]) for row in reversed(H))
-
-
 def det_bareiss(mat):
     """Exact determinant by fraction-free elimination."""
     A = [list(r) for r in mat]
@@ -228,24 +217,26 @@ def abs_det(rows):
 def _kernel_hnf(hom):
     """Lower-triangular Hermite basis of ker(phi), each row checked to lie in it.
 
-    The relation system is lifted by appending one t_j-multiple row per
-    group component and reduced by exact integer elimination; the rows
-    whose group part vanished span the kernel, which has rank n whether
-    or not phi is onto G.
+    The relation rows [phi(e_i) | e_i], with e_i in column n - 1 - i, and
+    one t_j-multiple row per group component are reduced in one Hermite
+    pass.  The rows whose group part vanished are the echelon basis of
+    the kernel, reduced above each pivot, which has rank n whether or
+    not phi is onto G; reversing them and their columns gives the lower
+    form.  In this column order the elimination fills in only the
+    columns of the group pivots.
     """
     G = hom.group
     n = hom.n
     s = len(G.factors)
     rows = []
     for i, g in enumerate(hom.images):
-        rows.append(list(g) + [1 if j == i else 0 for j in range(n)])
+        rows.append(list(g) + [1 if j == n - 1 - i else 0 for j in range(n)])
     for j, t in enumerate(G.factors):
         rows.append([t if jj == j else 0 for jj in range(s)] + [0] * n)
-    H = _hnf_rows(rows)
-    kern = [row[s:] for row in H if all(x == 0 for x in row[:s]) and any(row[s:])]
+    kern = [row[s:] for row in _hnf_rows(rows) if not any(row[:s]) and any(row[s:])]
     if len(kern) != n:
         raise ConstructionError(f"kernel rank {len(kern)} != {n}")
-    basis = hnf_lower(kern)
+    basis = tuple(tuple(row[::-1]) for row in reversed(kern))
     identity = G.identity
     for row in basis:
         if apply_hom_sparse(hom, nonzeros(row)) != identity:
@@ -267,43 +258,40 @@ def period(hom):
     return lcm(*(element_order(g, hom.group) for g in hom.images)) if hom.images else 1
 
 
-def _descend(B, j, part, lo, hi, suffix, out):
-    """Append (l_0, ..., l_j) + suffix to out for every kernel point l in the box.
-
-    B is the lower-triangular Hermite basis; part[k], k <= j, is the sum
-    of z_i * B[i][k] over the rows i > j already chosen, so l_j =
-    part[j] + z_j * B[j][j] and the admissible l_j form the progression
-    of step B[j][j] through [lo[j], hi[j]].  A module-level function: a
-    closure that calls itself is a reference cycle, and each call's
-    output would then live until a full garbage collection.
-    """
-    d = B[j][j]
-    x = lo[j] + (part[j] - lo[j]) % d  # least l_j >= lo[j]
-    if j == 0:
-        out.extend([(y,) + suffix for y in range(x, hi[0] + 1, d)])
-        return
-    if x > hi[j]:
-        return
-    row = B[j][:j]
-    z = (x - part[j]) // d
-    part = [p + z * b for p, b in zip(part, row)]
-    while x <= hi[j]:
-        _descend(B, j - 1, part, lo, hi, (x,) + suffix, out)
-        x += d
-        part = list(map(add, part, row))
-
-
 def _kernel_points(hom, lo, hi):
-    """All l with lo[i] <= l_i <= hi[i] and phi(l) = identity, unordered.
+    """All l with lo[i] <= l_i <= hi[i] and phi(l) = identity, by (l_{n-1}, ..., l_0).
 
-    Back substitution on the Hermite basis of ker(phi), at a cost of
-    O(n) per point: every point is in the kernel by construction, so
-    phi is evaluated only on the n basis rows.  phi need not be onto G.
+    Back substitution on the lower Hermite basis B of ker(phi), at a
+    cost of O(n) per point: every point is in the kernel by
+    construction, so phi is evaluated only on the n basis rows.  phi
+    need not be onto G.  A stack entry (j, part, suffix) has l_{j+1..}
+    = suffix chosen, and part[k], k <= j, is the sum of z_i * B[i][k]
+    over the rows i > j, so l_j = part[j] + z_j * B[j][j] and the
+    admissible l_j form the progression of step B[j][j] through
+    [lo[j], hi[j]], pushed from the top down so the least pops first.
     """
-    if hom.n == 0:
+    n = hom.n
+    if n == 0:
         return [()]
+    B = _kernel_hnf(hom)
     out = []
-    _descend(_kernel_hnf(hom), hom.n - 1, [0] * hom.n, lo, hi, (), out)
+    stack = [(n - 1, [0] * n, ())]
+    while stack:
+        j, part, suffix = stack.pop()
+        d = B[j][j]
+        x = lo[j] + (part[j] - lo[j]) % d  # least l_j >= lo[j]
+        if j == 0:
+            out.extend([(y,) + suffix for y in range(x, hi[0] + 1, d)])
+            continue
+        if x > hi[j]:
+            continue
+        row = B[j][:j]
+        top = hi[j] - (hi[j] - x) % d  # greatest l_j <= hi[j]
+        z = (top - part[j]) // d
+        part = [p + z * b for p, b in zip(part, row)]
+        for y in range(top, x - 1, -d):
+            stack.append((j - 1, part, (y,) + suffix))
+            part = list(map(sub, part, row))
     return out
 
 

@@ -99,6 +99,10 @@ def test_search_budget(tmp_path, capsys):
 def test_verify(code_file, capsys):
     assert run(["verify", "--code", code_file, "--window", "10"]) == EXIT_OK
     assert "verified" in capsys.readouterr().out
+    # the bijection is the one the load proved
+    assert run(["verify", "--code", code_file, "--window", "4", "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["bijection"] is True and payload["verified"] is True
 
 
 def test_decode(code_file, capsys):
@@ -211,6 +215,49 @@ def test_groups_order_cap(capsys):
     assert run(["groups", "--order", str(MAX_GROUP_ORDER + 1)]) == EXIT_USAGE
     assert run(["groups", "--order", str(MAX_GROUP_ORDER), "--json"]) == EXIT_OK
     assert len(json.loads(capsys.readouterr().out)) == 77 * 77  # 2^12 * 5^12
+
+
+def test_argument_values_are_usage_errors(code_file, capsys):
+    for argv in (["pl1", "--n", "0"],
+                 ["construct", "--n", "0", "--q", "4"],
+                 ["groups", "--order", "0"],
+                 ["admissible", "--n", "0", "--q", "4"],
+                 ["decode", "--code", code_file, "--word", "abc"]):
+        assert run(argv) == EXIT_USAGE, argv
+    assert "Traceback" not in capsys.readouterr().err
+    # a value the parser accepts and the construction refuses stays negative
+    assert run(["construct", "--n", "3", "--q", "8"]) == EXIT_NEGATIVE
+
+
+def test_basis_bound(monkeypatch, capsys):
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    # 3162^2 <= MAX_WINDOW_POINTS < 3163^2: refused before any work
+    monkeypatch.setattr(cli.codes, "construct_pl1", reached)
+    monkeypatch.setattr(cli.codes, "construct_dpl4", reached)
+    for argv in (["pl1", "--n", "3163"], ["construct", "--n", "3163", "--q", "4"]):
+        assert run(argv) == EXIT_USAGE, argv
+        assert "3163^2" in capsys.readouterr().err
+    for argv in (["pl1", "--n", "3162"], ["construct", "--n", "3162", "--q", "4"]):
+        with pytest.raises(Reached):
+            run(argv)
+
+
+@pytest.mark.parametrize("text", [
+    "",  # no words
+    "0,0\n1,0\n0\n",  # mixed length
+    "0,0\n1,x\n",  # unparsable
+    "0,0\n1,0\n-1,0\n0,1\n0,-1\n1,0\n",  # duplicate word
+])
+def test_search_tile_file_is_data(tmp_path, capsys, text):
+    path = tmp_path / "tile.txt"
+    path.write_text(text)
+    assert run(["search", "--anticode", str(path)]) == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
 
 
 def test_decode_rejects_modulus_the_period_does_not_divide(code_file):

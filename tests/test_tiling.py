@@ -26,8 +26,9 @@ from leecodes.tiling import (
     apply_hom,
     apply_hom_sparse,
     det_bareiss,
+    _hnf_rows,
+    _kernel_points,
     exact_cover,
-    hnf_lower,
     kernel_points_in_box,
     tile_spread,
 )
@@ -84,15 +85,21 @@ def test_is_bijection_on_dimension_check():
         is_bijection_on(CROSS_HOM, [(0, 0), (1, 0), (0, 1), (-1, 0), (0, 0, 1)])
 
 
-def test_hnf_lower_canonical():
-    H = hnf_lower([(2, 0), (1, 3)])
-    assert H == ((2, 0), (1, 3)) or H[0][1] == 0
-    # diagonal positive, sub-diagonal entries reduced mod the diagonal
-    for i, row in enumerate(H):
-        assert row[i] > 0
-        assert all(row[j] == 0 for j in range(i + 1, len(row)))
-        for j in range(i):
-            assert 0 <= row[j] < H[j][j]
+def test_kernel_basis_canonical():
+    # diagonal positive, zeros right of it, entries left of it reduced
+    # into [0, diagonal of their column)
+    for hom in [CROSS_HOM,
+                Homomorphism(FiniteAbelianGroup((8,)), ((1,), (3,))),
+                Homomorphism(FiniteAbelianGroup((4, 2)), ((1, 0), (3, 1), (1, 1))),
+                Homomorphism(FiniteAbelianGroup(()), ((), (), ())),
+                construct_dpl4(5, 20).hom,
+                construct_pl1(6).hom]:
+        H = kernel_basis(hom).rows
+        for i, row in enumerate(H):
+            assert row[i] > 0
+            assert all(row[j] == 0 for j in range(i + 1, len(row)))
+            for j in range(i):
+                assert 0 <= row[j] < H[j][j]
 
 
 def test_det_bareiss_examples():
@@ -290,6 +297,73 @@ def test_kernel_points_in_box_matches_box_filter(case):
     box = product(range(-bound, bound + 1), repeat=hom.n)
     identity = hom.group.identity
     assert kernel_points_in_box(hom, bound) == [p for p in box if apply_hom(hom, p) == identity]
+
+
+def reference_kernel_hnf(hom):
+    """The two-pass Hermite step kept as a reference: eliminate in the
+    natural column order, then bring the kernel rows to lower form."""
+    G = hom.group
+    n = hom.n
+    s = len(G.factors)
+    rows = [list(g) + [1 if j == i else 0 for j in range(n)]
+            for i, g in enumerate(hom.images)]
+    rows += [[t if jj == j else 0 for jj in range(s)] + [0] * n
+             for j, t in enumerate(G.factors)]
+    kern = [row[s:] for row in _hnf_rows(rows) if not any(row[:s]) and any(row[s:])]
+    assert len(kern) == n
+    H = _hnf_rows([row[::-1] for row in kern])
+    return tuple(tuple(row[::-1]) for row in reversed(H))
+
+
+def reference_descend(B, j, part, lo, hi, suffix, out):
+    """The recursive back substitution kept as a reference."""
+    d = B[j][j]
+    x = lo[j] + (part[j] - lo[j]) % d
+    if j == 0:
+        out.extend([(y,) + suffix for y in range(x, hi[0] + 1, d)])
+        return
+    if x > hi[j]:
+        return
+    row = B[j][:j]
+    z = (x - part[j]) // d
+    part = [p + z * b for p, b in zip(part, row)]
+    while x <= hi[j]:
+        reference_descend(B, j - 1, part, lo, hi, (x,) + suffix, out)
+        x += d
+        part = list(map(add, part, row))
+
+
+@st.composite
+def maps_and_boxes(draw):
+    """phi: Z^n -> G with 0..3 cyclic factors of size 2..12 and n <= 6,
+    images often zero, and a box lo..hi whose ranges may be empty."""
+    factors = draw(st.lists(st.integers(2, 12), max_size=3))
+    zero = (0,) * len(factors)
+    image = st.tuples(*(st.integers(0, t - 1) for t in factors))
+    n = draw(st.integers(1, 6))
+    images = draw(st.lists(st.one_of(st.just(zero), image), min_size=n, max_size=n))
+    lo = draw(st.lists(st.integers(-4, 2), min_size=n, max_size=n))
+    hi = [a + draw(st.integers(-1, 5)) for a in lo]
+    return Homomorphism(FiniteAbelianGroup(tuple(factors)), images), lo, hi
+
+
+@settings(max_examples=500, deadline=None)
+@given(maps_and_boxes())
+def test_kernel_basis_and_points_match_two_pass_reference(case):
+    hom, lo, hi = case
+    basis = reference_kernel_hnf(hom)
+    assert tiling._kernel_hnf(hom) == basis
+    expected = []
+    reference_descend(basis, hom.n - 1, [0] * hom.n, lo, hi, (), expected)
+    assert _kernel_points(hom, lo, hi) == expected  # same order too
+
+
+def test_kernel_of_all_ones_map_at_large_n():
+    # one elimination pass and no recursion per coordinate: n = 1200
+    # neither runs cubic nor exhausts the interpreter's recursion limit
+    hom = Homomorphism(FiniteAbelianGroup((2,)), ((1,),) * 1200)
+    assert kernel_basis(hom).det_abs == 2
+    assert kernel_points_in_box(hom, 0) == [(0,) * 1200]
 
 
 def exact_cover_by_set(centers, tile, R):
