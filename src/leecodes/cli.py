@@ -1,8 +1,9 @@
 """Command-line front-end with stable machine-readable output.
 
 Exit codes: 0 success/verified, 1 verified negative (NotFound,
-inadmissible, verification failed), 2 budget exceeded, 64 usage error,
-65 data-format error.
+inadmissible, verification failed), 2 budget exceeded, 64 usage error
+(an argument value out of range, or a word of the wrong length), 65
+data-format error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from math import log10
 
 from . import codes, decoder, groups, lee, nonregular, tiling
-from .errors import DataFormatError, LeeCodeError
+from .errors import DataFormatError, DimensionError, LeeCodeError
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -222,16 +223,25 @@ def _budget(text):
         raise argparse.ArgumentTypeError(f"invalid budget {text!r}") from None
 
 
-def _positive(text):
-    """An integer >= 1: a window radius R, a modulus q, a dimension n or
-    a group order."""
+def _at_least(text, least):
     try:
         k = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {k}")
+    if k < least:
+        raise argparse.ArgumentTypeError(f"must be >= {least}, got {k}")
     return k
+
+
+def _positive(text):
+    """An integer >= 1: a window radius R, a decode modulus, a dimension n
+    or a group order."""
+    return _at_least(text, 1)
+
+
+def _modulus(text):
+    """An integer >= 2: the q of a code over Z_q^n."""
+    return _at_least(text, 2)
 
 
 def _word(text):
@@ -256,7 +266,7 @@ def build_parser():
 
     sp = add("construct", cmd_construct, help="build a DPL(n,4,q) code")
     sp.add_argument("--n", type=_positive, required=True)
-    sp.add_argument("--q", type=int, required=True)
+    sp.add_argument("--q", type=_modulus, required=True)
     sp.add_argument("--out")
 
     sp = add("pl1", cmd_pl1, help="build the classical PL(n,1) code")
@@ -265,7 +275,7 @@ def build_parser():
 
     sp = add("admissible", cmd_admissible, help="test modulus admissibility")
     sp.add_argument("--n", type=_positive, required=True)
-    sp.add_argument("--q", type=int, required=True)
+    sp.add_argument("--q", type=_modulus, required=True)
 
     sp = add("search", cmd_search, help="search for a lattice tiling by a tile file")
     sp.add_argument("--anticode", required=True)
@@ -310,6 +320,11 @@ def run(argv):
     except DataFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except DimensionError as exc:
+        # files are checked on load, so only an argument can have the
+        # wrong length: decode --word against the code's n
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except LeeCodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE

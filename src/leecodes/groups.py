@@ -3,7 +3,8 @@
 A group is an ordered tuple of cyclic factor sizes; elements are reduced
 residue tuples of the same length.  The trivial group is the empty
 product.  Ranking follows the nested (Horner) evaluation of the
-lexicographic order over the factors.
+lexicographic order over the factors.  Aut(G)-orbits of elements are
+keyed by height sequences and need prime-power factors.
 """
 
 from __future__ import annotations
@@ -105,6 +106,67 @@ def enumerate_abelian_groups(m):
         factors = tuple(f for chunk in combo for f in chunk)
         groups.append(FiniteAbelianGroup(factors))
     return sorted(groups, key=lambda G: G.factors)
+
+
+def _factor_primes(G):
+    """The prime of each cyclic factor; StructuralError unless each is a prime power."""
+    primes = []
+    for t in G.factors:
+        f = factorize(t)
+        if len(f) != 1:
+            raise StructuralError(f"factor {t} of {G.factors} is not a prime power")
+        primes.extend(f)
+    return primes
+
+
+def _valuation(x, p):
+    """Exponent of the prime p in x != 0."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def _height_key(g, factors, primes):
+    """Per prime p, ascending: the heights of g_p, p*g_p, p^2*g_p, ... down to 0."""
+    key = []
+    for p in sorted(set(primes)):
+        part = [(x, t) for x, t, q in zip(g, factors, primes) if q == p]
+        heights = []
+        while any(x for x, _ in part):
+            heights.append(min(_valuation(x, p) for x, _ in part if x))
+            part = [(x * p % t, t) for x, t in part]
+        key.append(tuple(heights))
+    return tuple(key)
+
+
+def aut_orbit_key(g, G):
+    """A key that two elements of G share iff an automorphism maps one to the other.
+
+    Aut(G) is the product of the automorphism groups of the p-primary
+    parts, and in a finite Abelian p-group two elements lie in one orbit
+    iff their height (Ulm) sequences agree (Kaplansky, Infinite Abelian
+    Groups).  The height of a nonzero x in a product of cyclic p-power
+    factors is the least v_p(x_j) over its nonzero coordinates.  The
+    factors must be prime powers, as enumerate_abelian_groups yields.
+    """
+    if not G.contains(g):
+        raise StructuralError(f"{g} is not an element of {G.factors}")
+    return _height_key(g, G.factors, _factor_primes(G))
+
+
+def aut_orbit_representatives(G):
+    """The lex-least element of each Aut(G)-orbit, in lexicographic order."""
+    primes = _factor_primes(G)
+    seen = set()
+    reps = []
+    for g in G.elements():
+        key = _height_key(g, G.factors, primes)
+        if key not in seen:
+            seen.add(key)
+            reps.append(g)
+    return reps
 
 
 def lex_rank(a, G):

@@ -22,7 +22,12 @@ from .errors import (
     SizeError,
     StructuralError,
 )
-from .groups import FiniteAbelianGroup, element_order, enumerate_abelian_groups, factorize
+from .groups import (
+    FiniteAbelianGroup,
+    aut_orbit_representatives,
+    element_order,
+    enumerate_abelian_groups,
+)
 from .lee import nonzeros
 
 
@@ -414,6 +419,16 @@ def _normalize_tile(V):
 def _search_group(G, start, coeffs, budget, counts, failures, max_failures):
     """Depth-first image assignment in G; see search_lattice_tiling.
 
+    The first image runs over one element per Aut(G)-orbit, the
+    lex-least, and the search still returns the solution an unpruned
+    search would.  The DFS visits image tuples in lexicographic order,
+    so without the cut it returns the lex-least solution phi*; let g*
+    be its first image.  For an automorphism alpha, alpha o phi* is
+    bijective on the tile too and has the first image alpha(g*), so
+    alpha(g*) < g* would make it a lex-smaller solution.  Hence g* is
+    the lex-least element of its orbit and is tried, no element before
+    it starts a solution, and the skipped ones only save nodes.
+
     A word's residue is final once the images up to its last nonzero
     coordinate are assigned: depth d checks the words whose last nonzero
     coordinate is d against the residues already fixed, and carries the
@@ -423,10 +438,7 @@ def _search_group(G, start, coeffs, budget, counts, failures, max_failures):
     n = len(coeffs)
     images = [None] * n
     elems = list(G.elements())
-    # a cyclic group of prime order: every nonzero element is a generator,
-    # so an automorphism absorbs the choice of the first image
-    prime_cyclic = len(factors) == 1 and factorize(factors[0]) == {factors[0]: 1}
-    first = [(1,)] if prime_cyclic else elems
+    first = aut_orbit_representatives(G)
 
     def dfs(depth, seen, acc):
         k = start[depth + 1] - start[depth]
@@ -466,10 +478,12 @@ def search_lattice_tiling(V, budget=DEFAULT_BUDGET, max_failures=1024):
     """Exhaustive search for a homomorphism bijective on V.
 
     Deterministic: groups in canonical order, image assignments in
-    lexicographic element order, first full solution returned.  For a
-    cyclic group of prime order the first image is pinned to 1 (every
-    nonzero element is a generator, so an automorphism absorbs the
-    choice).  NotFound is reported only on true exhaustion.
+    lexicographic element order, first full solution returned.  The
+    first image is tried only at the lex-least element of each
+    Aut(G)-orbit (an automorphism maps a solution to a solution), which
+    returns the same solution, groups_tried and status as trying every
+    element; only nodes, assignments_tried and failures shrink.
+    NotFound is reported only on true exhaustion.
     """
     V = list(V)
     if not V:

@@ -229,6 +229,37 @@ def test_argument_values_are_usage_errors(code_file, capsys):
     assert run(["construct", "--n", "3", "--q", "8"]) == EXIT_NEGATIVE
 
 
+def test_modulus_below_two_is_usage_error(capsys):
+    for argv in (["construct", "--n", "3", "--q", "0"],
+                 ["construct", "--n", "3", "--q=-4"],
+                 ["construct", "--n", "3", "--q", "1"],
+                 ["construct", "--n", "3", "--q", "abc"],
+                 ["admissible", "--n", "3", "--q", "0"],
+                 ["admissible", "--n", "3", "--q", "1"]):
+        assert run(argv) == EXIT_USAGE, argv
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "must be >= 2" in err
+    assert run(["admissible", "--n", "3", "--q", "2"]) == EXIT_NEGATIVE
+    assert run(["construct", "--n", "3", "--q", "8"]) == EXIT_NEGATIVE
+
+
+def test_decode_word_of_wrong_length_is_usage_error(code_file, capsys):
+    # code_file is DPL(3,12)
+    assert run(["decode", "--code", code_file, "--word", "1,2"]) == EXIT_USAGE
+    assert run(["decode", "--code", code_file, "--word", "1,2,3,4",
+                "--mod", "12"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "word length 2 != 3" in err
+
+
+def test_search_tile_with_zero_first_image(tmp_path, capsys):
+    path = tmp_path / "v.txt"
+    path.write_text("0,0\n1,1\n0,2\n")
+    assert run(["search", "--anticode", str(path), "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "found", "group": [3], "images": [[0], [1]]}
+
+
 def test_basis_bound(monkeypatch, capsys):
     class Reached(Exception):
         pass

@@ -10,8 +10,8 @@ from leecodes import (
     lex_rank,
     lex_unrank,
 )
-from leecodes.errors import DomainError
-from leecodes.groups import factorize
+from leecodes.errors import DomainError, StructuralError
+from leecodes.groups import aut_orbit_key, aut_orbit_representatives, factorize
 
 
 def brute_order(g, G):
@@ -124,3 +124,111 @@ def test_trivial_group():
     assert G.identity == ()
     assert element_order((), G) == 1
     assert [G.factors for G in enumerate_abelian_groups(1)] == [()]
+
+
+def _times(m, g, G):
+    return tuple(m * x % t for x, t in zip(g, G.factors))
+
+
+def automorphisms(G):
+    """Generator images of every automorphism of G, by brute force.
+
+    Factor i of order t takes any image h with t*h = 0, which makes the
+    map a homomorphism; a branch survives while the images so far
+    generate a subgroup whose order is the product of their factors,
+    which every injective map satisfies.
+    """
+    elems = list(G.elements())
+
+    def rec(i, images, sub):
+        if i == len(G.factors):
+            yield images
+            return
+        t = G.factors[i]
+        for h in elems:
+            multiples = [_times(c, h, G) for c in range(t)]
+            if _times(t, h, G) != G.identity:
+                continue
+            grown = {G.add(s, c) for s in sub for c in multiples}
+            if len(grown) == len(sub) * t:
+                yield from rec(i + 1, images + (h,), grown)
+
+    yield from rec(0, (), {G.identity})
+
+
+def brute_orbits(G):
+    """The Aut(G)-orbits of G as sorted lists, by union-find over automorphisms.
+
+    An automorphism maps k*G onto itself, so whether m*g lies in k*G is
+    the same for g and its images: the classes of that invariant hold
+    whole orbits.  Once the union-find has merged G into as many parts
+    as there are classes, the parts are the orbits, and the rest of the
+    automorphisms (about 10^7 for Z_2^5) need not be walked.
+    """
+    elems = list(G.elements())
+    exps = range(1, max(G.factors, default=1) + 1)
+    kG = {k: {_times(k, g, G) for g in elems} for k in exps}
+    classes = len({frozenset((m, k) for m in exps for k in exps if _times(m, g, G) in kG[k])
+                   for g in elems})
+    parent = {g: g for g in elems}
+
+    def find(g):
+        while parent[g] != g:
+            parent[g] = parent[parent[g]]
+            g = parent[g]
+        return g
+
+    parts = len(elems)
+    for images in automorphisms(G):
+        for g in elems:
+            image = G.identity
+            for x, h in zip(g, images):
+                image = G.add(image, _times(x, h, G))
+            a, b = find(g), find(image)
+            if a != b:
+                parent[a] = b
+                parts -= 1
+        if parts == classes:
+            break
+    orbits = {}
+    for g in elems:
+        orbits.setdefault(find(g), []).append(g)
+    return sorted(orbits.values())
+
+
+def test_automorphism_count_matches_gl():
+    # |GL(3,2)| = 168, |Aut(Z_4 x Z_2)| = 8, |Aut(Z_9)| = 6
+    assert sum(1 for _ in automorphisms(FiniteAbelianGroup((2, 2, 2)))) == 168
+    assert sum(1 for _ in automorphisms(FiniteAbelianGroup((4, 2)))) == 8
+    assert sum(1 for _ in automorphisms(FiniteAbelianGroup((9,)))) == 6
+
+
+@pytest.mark.parametrize("m", list(range(1, 33)))
+def test_aut_orbit_key_matches_brute_force_orbits(m):
+    for G in enumerate_abelian_groups(m):
+        orbits = brute_orbits(G)
+        keyed = {}
+        for g in G.elements():
+            keyed.setdefault(aut_orbit_key(g, G), []).append(g)
+        assert sorted(keyed.values()) == orbits, G.factors
+        assert aut_orbit_representatives(G) == sorted(o[0] for o in orbits), G.factors
+
+
+def test_aut_orbit_key_examples():
+    Z8 = FiniteAbelianGroup((8,))
+    assert [aut_orbit_key(g, Z8) for g in [(0,), (1,), (2,), (4,), (6,)]] == [
+        ((),), ((0, 1, 2),), ((1, 2),), ((2,),), ((1, 2),)]
+    G = FiniteAbelianGroup((4, 2, 3))
+    assert aut_orbit_key((1, 1, 2), G) == ((0, 1), (0,))
+    assert aut_orbit_key((2, 1, 2), G) == ((0,), (0,))
+    assert aut_orbit_representatives(FiniteAbelianGroup((7,))) == [(0,), (1,)]
+    assert aut_orbit_representatives(FiniteAbelianGroup(())) == [()]
+
+
+def test_aut_orbit_key_needs_prime_power_factors():
+    with pytest.raises(StructuralError):
+        aut_orbit_key((1,), FiniteAbelianGroup((6,)))
+    with pytest.raises(StructuralError):
+        aut_orbit_representatives(FiniteAbelianGroup((4, 10)))
+    with pytest.raises(StructuralError):
+        aut_orbit_key((4,), FiniteAbelianGroup((4,)))

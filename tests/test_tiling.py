@@ -1,5 +1,6 @@
 from itertools import product
 from operator import add
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -470,6 +471,11 @@ def test_search_empty_tile():
         search_lattice_tiling([])
 
 
+# nodes visited with the first image pinned only in a cyclic group of
+# prime order -> nodes with one first image per Aut(G)-orbit
+ORBIT_CUT_NODES = {6: 4, 15: 9, 386: 77, 42: 26, 126376: 16057, 8094: 971, 22250: 1430}
+
+
 @pytest.mark.parametrize("V, status, nodes, groups_tried", [
     (double_sphere(1, 1), FOUND, 6, 2),
     (double_sphere(2, 1), FOUND, 15, 2),
@@ -480,9 +486,77 @@ def test_search_empty_tile():
     (lee_sphere(3, 2), NOT_FOUND, 22250, 2),
 ])
 def test_search_work_counts(V, status, nodes, groups_tried):
-    # the pruning visits the same nodes in the same order as a check of
-    # every partial assignment against all words it fixes
+    # nodes is the count before the orbit cut; the pruning visits the
+    # same nodes in the same order as a check of every partial
+    # assignment against all words it fixes
     res = search_lattice_tiling(V)
-    assert (res.status, res.nodes, res.groups_tried) == (status, nodes, groups_tried)
+    assert (res.status, res.nodes, res.groups_tried) == (
+        status, ORBIT_CUT_NODES[nodes], groups_tried)
+    assert res.nodes < nodes
     if status == FOUND:
         assert is_bijection_on(res.hom, V)
+
+
+def test_search_first_image_may_be_zero():
+    # phi = ((0,), (1,)) maps the words to 0, 1, 2 in Z_3; a first image
+    # pinned to a generator misses it and reports a false NotFound
+    V = [(0, 0), (1, 1), (0, 2)]
+    res = search_lattice_tiling(V)
+    assert res.status == FOUND
+    assert res.hom.group.factors == (3,)
+    assert res.hom.images == ((0,), (1,))
+    assert is_bijection_on(res.hom, V)
+
+
+def _unpruned_search_group(G, start, coeffs, budget, counts, failures, max_failures):
+    """tiling._search_group with every element tried at depth 0."""
+    factors = G.factors
+    n = len(coeffs)
+    images = [None] * n
+    elems = list(G.elements())
+
+    def dfs(depth, seen, acc):
+        k = start[depth + 1] - start[depth]
+        coeff = coeffs[depth]
+        for g in elems:
+            counts[0] += 1
+            if counts[0] > budget:
+                return BUDGET_EXCEEDED
+            images[depth] = g
+            fresh = set()
+            ok = True
+            for r, x in zip(acc[:k], coeff):
+                r = tuple((a + x * b) % t for a, b, t in zip(r, g, factors))
+                if r in seen or r in fresh:
+                    ok = False
+                    break
+                fresh.add(r)
+            if depth + 1 == n:
+                counts[1] += 1
+                if ok:
+                    return Homomorphism(G, tuple(images))
+                if len(failures) < max_failures:
+                    failures.append((factors, tuple(images)))
+            elif ok:
+                res = dfs(depth + 1, seen | fresh, [
+                    tuple((a + x * b) % t for a, b, t in zip(r, g, factors)) if x else r
+                    for r, x in zip(acc[k:], coeff[k:])
+                ])
+                if res is not None:
+                    return res
+        return None
+
+    return dfs(0, {G.identity}, [G.identity] * len(coeffs[0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.sets(
+    st.tuples(*[st.integers(-2, 2)] * n), min_size=2, max_size=10)))
+def test_search_orbit_cut_matches_unpruned_search(V):
+    V = sorted(V)
+    res = search_lattice_tiling(V)
+    with patch.object(tiling, "_search_group", _unpruned_search_group):
+        ref = search_lattice_tiling(V)
+    assert (res.status, res.groups_tried, res.hom) == (ref.status, ref.groups_tried, ref.hom)
+    assert res.nodes <= ref.nodes
+    assert res.assignments_tried <= ref.assignments_tried
