@@ -2,8 +2,9 @@
 
 Exit codes: 0 success/verified, 1 verified negative (NotFound,
 inadmissible, verification failed), 2 budget exceeded, 64 usage error
-(an argument value out of range, or a word of the wrong length), 65
-data-format error.
+(an argument value out of range, a decode word of the wrong length or a
+--mod the code's period does not divide), 65 data-format error; run
+alone maps errors to them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import sys
 from math import log10
 
 from . import codes, decoder, groups, lee, nonregular, tiling
-from .errors import DataFormatError, DimensionError, LeeCodeError
+from .errors import (DataFormatError, DimensionError, DomainError, LeeCodeError,
+                     PeriodicityError)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -38,6 +40,10 @@ MAX_GROUP_ORDER = 10 ** 12
 MAX_WINDOW_POINTS = 10 ** 7
 
 
+class UsageError(Exception):
+    """An argument value refused before any work; run prints it and exits 64."""
+
+
 def _emit(args, human, payload=None):
     if getattr(args, "json", False) and payload is not None:
         print(json.dumps(payload, separators=(",", ":")))
@@ -46,21 +52,17 @@ def _emit(args, human, payload=None):
 
 
 def _load_code(path):
-    try:
-        with open(path) as fh:
-            return codes.code_from_json(fh.read())
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    with open(path) as fh:
+        return codes.code_from_json(fh.read())
 
 
 def _load_tile(path):
     """The words of a tile file, one per line; DataFormatError unless they
     are a nonempty set of words of one length."""
+    with open(path) as fh:
+        text = fh.read()
     try:
-        with open(path) as fh:
-            V = lee.parse_words(fh.read())
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+        V = lee.parse_words(text)
     except LeeCodeError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
     if not V:
@@ -76,11 +78,10 @@ def _write_out(path, text):
 
 
 def cmd_construct(args):
-    if _basis_too_large(args.n):
-        return EXIT_USAGE
+    _check_basis(args.n)
     try:
         code = codes.construct_dpl4(args.n, args.q)
-    except LeeCodeError as exc:
+    except DomainError as exc:
         _emit(args, f"inadmissible: {exc}", {"error": str(exc)})
         return EXIT_NEGATIVE
     payload = codes.code_to_dict(code)
@@ -92,8 +93,7 @@ def cmd_construct(args):
 
 
 def cmd_pl1(args):
-    if _basis_too_large(args.n):
-        return EXIT_USAGE
+    _check_basis(args.n)
     code = codes.construct_pl1(args.n)
     if args.out:
         _write_out(args.out, codes.code_to_json(code))
@@ -126,38 +126,34 @@ def cmd_search(args):
 
 def cmd_groups(args):
     if args.order > MAX_GROUP_ORDER:
-        print(f"--order above {MAX_GROUP_ORDER} is not supported", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--order above {MAX_GROUP_ORDER} is not supported")
     gs = groups.enumerate_abelian_groups(args.order)
     payload = [list(G.factors) for G in gs]
     _emit(args, "\n".join(str(list(G.factors)) for G in gs), payload)
     return EXIT_OK
 
 
-def _too_large(what, side, n, unit):
-    """True, with the estimate on stderr, if side^n exceeds MAX_WINDOW_POINTS."""
-    if side ** n <= MAX_WINDOW_POINTS:
-        return False
-    print(f"{what} {side}^{n} (about 10^{int(n * log10(side))}) {unit}, "
-          f"more than {MAX_WINDOW_POINTS}", file=sys.stderr)
-    return True
+def _check_size(what, side, n, unit):
+    """UsageError, with the estimate, if side^n exceeds MAX_WINDOW_POINTS."""
+    if side ** n > MAX_WINDOW_POINTS:
+        raise UsageError(f"{what} {side}^{n} (about 10^{int(n * log10(side))}) "
+                         f"{unit}, more than {MAX_WINDOW_POINTS}")
 
 
-def _window_too_large(window, reach, n):
+def _check_window(window, reach, n):
     """The scan box of side 2 * (window + reach) + 1 in n dimensions."""
-    return _too_large(f"--window {window} scans", 2 * (window + reach) + 1, n, "points")
+    _check_size(f"--window {window} scans", 2 * (window + reach) + 1, n, "points")
 
 
-def _basis_too_large(n):
+def _check_basis(n):
     """The n x n basis that pl1 and construct emit."""
-    return _too_large(f"--n {n} emits", n, 2, "basis entries")
+    _check_size(f"--n {n} emits", n, 2, "basis entries")
 
 
 def cmd_verify(args):
     code = _load_code(args.code)
     V = code.anticode.points()
-    if _window_too_large(args.window, tiling.tile_spread(V), code.n):
-        return EXIT_USAGE
+    _check_window(args.window, tiling.tile_spread(V), code.n)
     # the load proved phi bijective on V
     cover = tiling.verify_window_tiling(code.hom, V, args.window)
     d = code.anticode.diameter + 1
@@ -186,17 +182,12 @@ def cmd_decode(args):
 
 
 def cmd_nonregular(args):
-    if args.n != 3:
-        print("only n=3 is supported", file=sys.stderr)
-        return EXIT_USAGE
     low = 6 * len(args.bits) + 6
     if any(b not in "01" for b in args.bits) or args.window < low:
-        print(f"--bits must be 0s and 1s and --window >= {low}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--bits must be 0s and 1s and --window >= {low}")
     # the centers are shifted kernel points with |x_1| <= R + 5/2 and
     # |x_2|, |x_3| <= R + 2; reach 4 keeps 103 the largest window accepted
-    if _window_too_large(args.window, 4, 3):
-        return EXIT_USAGE
+    _check_window(args.window, 4, 3)
     t = nonregular.shifted_tiling_n3(args.bits, args.window)
     if args.out:
         _write_out(args.out, t.to_json())
@@ -207,8 +198,7 @@ def cmd_nonregular(args):
 
 def cmd_tile(args):
     code = _load_code(args.code)
-    if _window_too_large(args.window, 0, code.n):
-        return EXIT_USAGE
+    _check_window(args.window, 0, code.n)
     pts = tiling.kernel_points_in_box(code.hom, args.window)
     payload = {"window": args.window, "centers": [list(p) for p in pts]}
     _emit(args, lee.format_words(pts), payload)
@@ -255,7 +245,7 @@ def _word(text):
 def build_parser():
     p = argparse.ArgumentParser(prog="leecodes",
                                 description="diameter-perfect Lee codes")
-    sub = p.add_subparsers(dest="command")
+    sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
         sp = sub.add_parser(name, **kwargs)
@@ -294,7 +284,6 @@ def build_parser():
     sp.add_argument("--mod", type=_positive)
 
     sp = add("nonregular", cmd_nonregular, help="n=3 shifted window tiling")
-    sp.add_argument("--n", type=int, default=3)
     sp.add_argument("--bits", required=True)
     sp.add_argument("--window", type=int, required=True)
     sp.add_argument("--out")
@@ -307,28 +296,28 @@ def build_parser():
 
 
 def run(argv):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if not getattr(args, "fn", None):
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
     try:
         return args.fn(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     except DataFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except DimensionError as exc:
-        # files are checked on load, so only an argument can have the
-        # wrong length: decode --word against the code's n
+    except (DimensionError, PeriodicityError) as exc:
+        # files are checked on load, so only decode's --word (its length)
+        # or --mod (a q the period does not divide) can raise these
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except LeeCodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # a file that cannot be read as text, or an --out that cannot be written
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

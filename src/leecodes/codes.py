@@ -30,17 +30,15 @@ from .lee import (
     lee_sphere,
     lee_sphere_size,
     lee_weight,
-    nonzeros,
 )
 from .tiling import (
     Homomorphism,
     KernelBasis,
     _kernel_points,
-    abs_det,
     apply_hom,
-    apply_hom_sparse,
     is_bijection_on,
     kernel_basis,
+    lattice_basis,
     period,
 )
 
@@ -149,8 +147,9 @@ def construct_dpl4(n, q):
     Images come in blocks of odd first coordinates 2i-1: one block for
     the zero of H, one of length q/4 per order-2 element of H, and one
     of length q/2 per inverse pair keyed by its lexicographically
-    smaller member.  The kernel basis rows are emitted explicitly and
-    verified to have even Lee weight.
+    smaller member.  The kernel basis rows are emitted explicitly,
+    checked to have even Lee weight and proved a basis of ker(phi) by
+    lattice_basis.
     """
     if not is_admissible_q(n, q):
         raise DomainError(f"q = {q} is not admissible for n = {n}")
@@ -221,15 +220,10 @@ def construct_dpl4(n, q):
             vec[i - 1] -= 1
         rows.append(tuple(vec))
 
-    identity = G.identity
     for row in rows:
-        if apply_hom_sparse(hom, nonzeros(row)) != identity:
-            raise ConstructionError(f"basis row {row} not in kernel")
         if lee_weight(row) % 2 != 0:
             raise ConstructionError(f"basis row {row} has odd Lee weight")
-    # |det| = q * t_2 * ... * t_s = 4n: lower triangular after moving the
-    # columns m_j next to column 1 (diagonal q, -t_j, -1, ..., -1).
-    basis = KernelBasis(rows=tuple(rows), det_abs=4 * n)
+    basis = lattice_basis(hom, rows)
 
     anticode = AnticodeSpec(kind=DOUBLE_SPHERE, n=n, r=1, axis=1)
     return LinearLeeCode(n=n, anticode=anticode, hom=hom, basis=basis,
@@ -414,27 +408,21 @@ def code_from_dict(d):
         hom = Homomorphism(G, images)
     except LeeCodeError as exc:
         raise DataFormatError(f"malformed code descriptor: {exc}") from exc
-    if transversal not in (EVEN_WEIGHT, IDENTITY):
-        raise DataFormatError(f"unknown transversal {transversal!r}")
     if transversal != TRANSVERSAL_OF[kind]:
         raise DataFormatError(f"a {kind} anticode needs the {TRANSVERSAL_OF[kind]} "
-                              f"transversal, not {transversal}")
+                              f"transversal, not {transversal!r}")
     if anticode.size != G.order:
         raise DataFormatError(f"|anticode| = {anticode.size} != |G| = {G.order}")
     if q is not None and q % period(hom) != 0:
         raise DataFormatError(f"q = {q} is not a positive multiple of the period "
                               f"{period(hom)}")
-    identity = G.identity
-    for row in rows:
-        if apply_hom_sparse(hom, nonzeros(row)) != identity:
-            raise DataFormatError(f"basis row {row} not in kernel")
-    det = abs_det(rows)
-    if det != G.order:
-        raise DataFormatError(f"|det(basis)| = {det} != |G| = {G.order}")
+    try:
+        basis = lattice_basis(hom, rows)
+    except ConstructionError as exc:
+        raise DataFormatError(str(exc)) from exc
     if not is_bijection_on(hom, anticode.points()):
         raise DataFormatError("homomorphism is not bijective on the anticode")
-    return LinearLeeCode(n=n, anticode=anticode, hom=hom,
-                         basis=KernelBasis(rows=rows, det_abs=det),
+    return LinearLeeCode(n=n, anticode=anticode, hom=hom, basis=basis,
                          transversal=transversal, q=q)
 
 

@@ -16,7 +16,7 @@ from .codes import apply_transversal
 from .errors import ConstructionError, DomainError, PeriodicityError
 from .groups import lex_rank
 from .lee import format_word, nonzeros
-from .tiling import apply_hom, apply_hom_sparse, period
+from .tiling import apply_hom, apply_hom_sparse, inverse_on, period
 
 
 @dataclass(frozen=True)
@@ -40,20 +40,12 @@ class DecoderTable:
 
 def build_decoder_table(code):
     """Invert the restriction of phi to the anticode, one pass."""
-    hom = code.hom
-    G = hom.group
-    entries = [None] * G.order
-    for w in code.anticode.points():
-        g = apply_hom_sparse(hom, nonzeros(w))
-        idx = lex_rank(g, G) - 1
-        if entries[idx] is not None:
-            raise ConstructionError(
-                f"phi collides on anticode: {entries[idx]} and {w} both map to {g}"
-            )
-        entries[idx] = tuple(w)
-    if any(e is None for e in entries):
-        raise ConstructionError("phi is not onto G on the anticode")
-    return DecoderTable(code=code, entries=tuple(entries))
+    inv = inverse_on(code.hom, code.anticode.points())
+    if inv is None:
+        raise ConstructionError("phi is not bijective on the anticode")
+    # elements() runs in lex order, so slot lex_rank(g) - 1 holds inv[g]
+    entries = tuple(inv[g] for g in code.hom.group.elements())
+    return DecoderTable(code=code, entries=entries)
 
 
 @dataclass(frozen=True)

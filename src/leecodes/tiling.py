@@ -3,9 +3,10 @@
 A homomorphism Z^n -> G is determined by the images of the unit vectors.
 The restriction being a bijection on a tile V is equivalent to the
 kernel lattice tiling Z^n by V; this module provides the evaluation
-of phi (the only one in the package, dense or sparse), the bijection
-check, an exact kernel-basis extraction, the kernel points of a box by
-back substitution on that basis, the tiling period, a finite-window
+of phi (the only one in the package, dense or sparse), its inverse on
+a tile (the bijection check), the proof that given rows are a basis of
+ker(phi), an exact kernel-basis extraction, the kernel points of a box
+by back substitution on that basis, the tiling period, a finite-window
 exact-cover oracle, and the exhaustive search over groups and image
 assignments.
 """
@@ -19,6 +20,7 @@ from operator import mul, sub
 from .errors import (
     ConstructionError,
     DimensionError,
+    DomainError,
     SizeError,
     StructuralError,
 )
@@ -85,20 +87,25 @@ def apply_hom_sparse(hom, items):
     return tuple(sum(x * col[i] for i, x in items) % t for t, col in hom.columns)
 
 
-def is_bijection_on(hom, words):
-    """True iff phi restricted to words is injective (hence onto G)."""
+def inverse_on(hom, words):
+    """phi's inverse {phi(w): w} on |G| words, or None if phi collides on them."""
     words = list(words)
     if len(words) != hom.group.order:
         raise SizeError(f"|V| = {len(words)} != |G| = {hom.group.order}")
-    seen = set()
+    inv = {}
     for w in words:
         if len(w) != hom.n:
             raise DimensionError(f"word length {len(w)} != {hom.n}")
         g = apply_hom_sparse(hom, nonzeros(w))
-        if g in seen:
-            return False
-        seen.add(g)
-    return True
+        if g in inv:
+            return None
+        inv[g] = w
+    return inv
+
+
+def is_bijection_on(hom, words):
+    """True iff phi restricted to words is injective (hence onto G)."""
+    return inverse_on(hom, words) is not None
 
 
 # --- exact integer elimination -------------------------------------------
@@ -242,15 +249,35 @@ def _kernel_hnf(hom):
     if len(kern) != n:
         raise ConstructionError(f"kernel rank {len(kern)} != {n}")
     basis = tuple(tuple(row[::-1]) for row in reversed(kern))
-    identity = G.identity
-    for row in basis:
-        if apply_hom_sparse(hom, nonzeros(row)) != identity:
-            raise ConstructionError(f"basis row {row} not in kernel")
+    _check_in_kernel(hom, basis)
     return basis
 
 
+def _check_in_kernel(hom, rows):
+    """ConstructionError unless phi vanishes on every row."""
+    identity = hom.group.identity
+    for row in rows:
+        if apply_hom_sparse(hom, nonzeros(row)) != identity:
+            raise ConstructionError(f"basis row {row} not in kernel")
+
+
+def lattice_basis(hom, rows):
+    """KernelBasis of n x n integer rows; ConstructionError unless they lie
+    in ker(phi) with |det| = |G| exactly, which for phi onto G (ker(phi)
+    then has index |G| in Z^n) proves them a basis of ker(phi).
+    """
+    rows = tuple(map(tuple, rows))
+    if len(rows) != hom.n or any(len(row) != hom.n for row in rows):
+        raise DimensionError(f"basis is not {hom.n} x {hom.n}")
+    _check_in_kernel(hom, rows)
+    det = abs_det(rows)
+    if det != hom.group.order:
+        raise ConstructionError(f"|det(basis)| = {det} != |G| = {hom.group.order}")
+    return KernelBasis(rows=rows, det_abs=det)
+
+
 def kernel_basis(hom):
-    """Canonical lower-triangular basis of ker(phi) with |det| = |G|."""
+    """Canonical lower-triangular basis of ker(phi); |det| = |G| is its diagonal."""
     basis = _kernel_hnf(hom)
     det = prod(basis[i][i] for i in range(hom.n))
     if det != hom.group.order:
@@ -489,6 +516,10 @@ def search_lattice_tiling(V, budget=DEFAULT_BUDGET, max_failures=1024):
     if not V:
         raise SizeError("tile must be nonempty")
     n = len(V[0])
+    if any(len(w) != n for w in V):
+        raise DimensionError("tile words are not all of one length")
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
     W = _normalize_tile(V)
     # words sorted by last nonzero coordinate (-1 for the origin);
     # start[d] is the first word whose last nonzero coordinate is >= d

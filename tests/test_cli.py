@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from leecodes.cli import (
     MAX_GROUP_ORDER,
     run,
 )
-from leecodes.lee import format_words, lee_sphere
+from leecodes.lee import double_sphere, format_words, lee_sphere
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -437,3 +438,169 @@ def test_mutated_descriptors_keep_the_exit_code_contract(tmp_path, data):
         d = _edited(base, path, data.draw(new))
         allowed = {EXIT_OK, EXIT_NEGATIVE, EXIT_DATA}
     assert _verify(tmp_path, d) in allowed
+
+
+def test_decode_modulus_the_period_does_not_divide_is_usage_error(code_file, capsys):
+    # code_file is DPL(3,12), of period 12
+    for q in ("9", "1"):
+        assert run(["decode", "--code", code_file, "--word", "5,4,0",
+                    "--mod", q]) == EXIT_USAGE, q
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"does not divide q = {q}" in err
+    assert run(["decode", "--code", code_file, "--word", "5,4,0", "--mod", "24"]) \
+        == EXIT_OK
+
+
+def test_unreadable_input_files_are_data_errors(tmp_path, capsys):
+    # a file that is not UTF-8 text, a directory and a missing file
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe0,0\n")
+    for path in (binary, tmp_path, tmp_path / "missing"):
+        assert run(["search", "--anticode", str(path)]) == EXIT_DATA, path
+        assert run(["verify", "--code", str(path), "--window", "2"]) == EXIT_DATA, path
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("io error") == 6
+
+
+@pytest.mark.parametrize("base", sorted(BASES))
+def test_basis_outside_the_kernel_is_data_error(tmp_path, capsys, base):
+    d = copy.deepcopy(BASES[base])
+    d["basis"][-1][-1] += 1
+    assert _verify(tmp_path, d) == EXIT_DATA
+    assert "not in kernel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base", sorted(BASES))
+def test_basis_of_a_proper_sublattice_is_data_error(tmp_path, capsys, base):
+    # doubled rows lie in the kernel, but |det| = 2^n |G|
+    d = copy.deepcopy(BASES[base])
+    d["basis"] = [[2 * x for x in row] for row in d["basis"]]
+    assert _verify(tmp_path, d) == EXIT_DATA
+    det = 2 ** d["n"] * prod(d["group"])
+    assert f"|det(basis)| = {det} != |G|" in capsys.readouterr().err
+
+
+# the exit codes README.md documents for each subcommand; 65 for
+# construct, pl1 and nonregular is an --out that cannot be written
+EXIT_SETS = {
+    "construct": {EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE, EXIT_DATA},
+    "pl1": {EXIT_OK, EXIT_USAGE, EXIT_DATA},
+    "admissible": {EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE},
+    "search": {EXIT_OK, EXIT_NEGATIVE, EXIT_BUDGET, EXIT_USAGE, EXIT_DATA},
+    "groups": {EXIT_OK, EXIT_USAGE},
+    "verify": {EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE, EXIT_DATA},
+    "decode": {EXIT_OK, EXIT_USAGE, EXIT_DATA},
+    "tile": {EXIT_OK, EXIT_USAGE, EXIT_DATA},
+    "nonregular": {EXIT_OK, EXIT_USAGE, EXIT_DATA},
+}
+
+# zero, negative, small, huge, non-integer and empty values
+INTS = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["0", "-1", "-12", "10" * 15, "1.5", "abc", "", "1e3", "nan"]),
+)
+MODS = st.one_of(INTS, st.sampled_from(["12", "24", "7", "14", "8", "9", "1"]))
+WORDS = st.one_of(
+    st.lists(st.integers(-50, 50), min_size=3, max_size=3).map(
+        lambda w: ",".join(map(str, w))),
+    st.lists(st.integers(-50, 50), max_size=5).map(lambda w: ",".join(map(str, w))),
+    st.sampled_from(["", "abc", "1,,2", "1.5,0,0", "10" * 15 + ",0,0"]),
+)
+
+TILE_TEXTS = {
+    "cross": format_words(lee_sphere(2, 1)),
+    "notfound": "0,0\n1,0\n2,0\n0,1\n1,-1",
+    "double": format_words(double_sphere(3, 1, 1)),
+    "point": "0",
+    "empty": "",
+    "mixed": "0,0\n1,0\n0",
+    "unparsable": "0,0\n1,x",
+    "duplicate": "0,0\n1,0\n0,0",
+    "json": json.dumps(DPL3),
+}
+CODE_TEXTS = {
+    "dpl3": json.dumps(DPL3),
+    "pl3": json.dumps(PL3),
+    "dpl8": code_to_json(construct_dpl4(8, 8)),
+    "offkernel": json.dumps(_edited(DPL3, ("basis", 2, 2), DPL3["basis"][2][2] + 1)),
+    "malformed": "{not json",
+    "empty": "",
+    "list": "[1]",
+    "tile": TILE_TEXTS["cross"],
+}
+
+
+def _mostly_valid(paths, valid):
+    """One of the paths, the first `valid` of them as often as all the rest."""
+    return st.one_of(st.sampled_from(paths[:valid]), st.sampled_from(paths))
+
+
+def _argv_strategy(files):
+    """(subcommand, argv): each option given a mutated value or now and then
+    dropped, and now and then one option more, often one the subcommand
+    does not have."""
+    code_files = _mostly_valid(files["codes"], 3)
+    outs = st.sampled_from(files["outs"])
+    options = {
+        "construct": {"--n": INTS, "--q": MODS, "--out": outs},
+        "pl1": {"--n": INTS, "--out": outs},
+        "admissible": {"--n": INTS, "--q": MODS},
+        "search": {"--anticode": _mostly_valid(files["tiles"], 4),
+                   "--budget": st.one_of(INTS, st.just("inf"))},
+        "groups": {"--order": INTS},
+        "verify": {"--code": code_files, "--window": INTS},
+        "decode": {"--code": code_files, "--word": WORDS,
+                   "--mod": st.one_of(st.none(), MODS)},
+        "tile": {"--code": code_files, "--window": INTS},
+        "nonregular": {"--bits": st.text("01x2", max_size=2),
+                       "--window": st.one_of(INTS, st.integers(6, 15).map(str)),
+                       "--out": outs},
+    }
+
+    @st.composite
+    def draw(draw_):
+        command = draw_(st.sampled_from(sorted(options)))
+        argv = [command]
+        for opt, values in options[command].items():
+            value = draw_(values) if draw_(st.integers(0, 4)) < 4 else None
+            if value is not None:
+                argv.append(f"{opt}={value}")  # "=" keeps "-1" a value
+        if draw_(st.booleans()):
+            argv.append("--json")
+        if draw_(st.integers(0, 9)) == 9:
+            argv.append(draw_(st.sampled_from(["--n=3", "--mod=12", "--window=2"])))
+        return command, argv
+
+    return draw()
+
+
+@pytest.fixture
+def argv_files(tmp_path):
+    files = {"codes": [], "tiles": [], "outs": [str(tmp_path / "out.json"),
+                                             str(tmp_path / "no-dir" / "out.json")]}
+    for key, texts in (("codes", CODE_TEXTS), ("tiles", TILE_TEXTS)):
+        for name, text in texts.items():
+            path = tmp_path / f"{key}-{name}"
+            path.write_text(text + "\n" if text else "")
+            files[key].append(str(path))
+        binary = tmp_path / f"{key}-binary"
+        binary.write_bytes(b"\xff\xfe0,0\n")
+        files[key] += [str(binary), str(tmp_path / "missing"), str(tmp_path)]
+    return files
+
+
+def test_argv_keeps_the_exit_code_contract(argv_files, monkeypatch, capsys):
+    # small caps keep every accepted run tiny
+    monkeypatch.setattr(cli, "MAX_WINDOW_POINTS", 40 ** 3)
+    monkeypatch.setattr(cli, "MAX_GROUP_ORDER", 1000)
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(_argv_strategy(argv_files))
+    def check(case):
+        command, argv = case
+        rc = run(argv)
+        err = capsys.readouterr().err
+        assert rc in EXIT_SETS[command], (argv, rc, err)
+        assert "Traceback" not in err, argv
+
+    check()

@@ -18,7 +18,13 @@ from leecodes import (
     verify_window_tiling,
 )
 from leecodes import construct_dpl4, construct_pl1, tiling
-from leecodes.errors import DimensionError, SizeError, StructuralError
+from leecodes.errors import (
+    ConstructionError,
+    DimensionError,
+    DomainError,
+    SizeError,
+    StructuralError,
+)
 from leecodes.tiling import (
     BUDGET_EXCEEDED,
     FOUND,
@@ -30,7 +36,9 @@ from leecodes.tiling import (
     _hnf_rows,
     _kernel_points,
     exact_cover,
+    inverse_on,
     kernel_points_in_box,
+    lattice_basis,
     tile_spread,
 )
 
@@ -84,6 +92,59 @@ def test_is_bijection_on_size_check():
 def test_is_bijection_on_dimension_check():
     with pytest.raises(DimensionError):
         is_bijection_on(CROSS_HOM, [(0, 0), (1, 0), (0, 1), (-1, 0), (0, 0, 1)])
+
+
+def test_inverse_on_inverts_phi_on_the_tile():
+    inv = inverse_on(CROSS_HOM, lee_sphere(2, 1))
+    assert sorted(inv) == [(g,) for g in range(5)]
+    assert all(apply_hom(CROSS_HOM, w) == g for g, w in inv.items())
+
+
+def test_inverse_on_collision_is_none():
+    # (1, 0) and (0, -1) both map to 1 under e_1 -> 1, e_2 -> 4
+    assert inverse_on(Homomorphism(Z5, ((1,), (4,))), lee_sphere(2, 1)) is None
+    with pytest.raises(SizeError):
+        inverse_on(CROSS_HOM, lee_sphere(2, 2))
+
+
+LATTICE_HOMS = [CROSS_HOM,
+                Homomorphism(FiniteAbelianGroup((4, 2)), ((1, 0), (3, 1), (1, 1))),
+                construct_dpl4(5, 20).hom,
+                construct_pl1(6).hom]
+
+
+@pytest.mark.parametrize("hom", LATTICE_HOMS, ids=range(len(LATTICE_HOMS)))
+def test_lattice_basis_accepts_kernel_bases(hom):
+    kb = kernel_basis(hom)
+    assert lattice_basis(hom, kb.rows) == kb
+    # any unimodular change of basis spans the same lattice
+    rows = [list(r) for r in kb.rows]
+    rows[0] = list(map(add, rows[0], rows[-1]))
+    assert lattice_basis(hom, rows).det_abs == hom.group.order
+
+
+@pytest.mark.parametrize("hom", LATTICE_HOMS, ids=range(len(LATTICE_HOMS)))
+def test_lattice_basis_rejects_rows_outside_the_kernel(hom):
+    rows = [list(r) for r in kernel_basis(hom).rows]
+    rows[-1][-1] += 1
+    with pytest.raises(ConstructionError, match="not in kernel"):
+        lattice_basis(hom, rows)
+
+
+@pytest.mark.parametrize("hom", LATTICE_HOMS, ids=range(len(LATTICE_HOMS)))
+def test_lattice_basis_rejects_a_proper_sublattice(hom):
+    # the rows doubled lie in the kernel but span index 2^n |G|
+    rows = [[2 * x for x in r] for r in kernel_basis(hom).rows]
+    with pytest.raises(ConstructionError, match=r"\|det\(basis\)\| = %d " % (
+            2 ** hom.n * hom.group.order)):
+        lattice_basis(hom, rows)
+
+
+def test_lattice_basis_shape_check():
+    with pytest.raises(DimensionError):
+        lattice_basis(CROSS_HOM, [(5, 0)])
+    with pytest.raises(DimensionError):
+        lattice_basis(CROSS_HOM, [(5, 0), (3, 1, 0)])
 
 
 def test_kernel_basis_canonical():
@@ -469,6 +530,17 @@ def test_search_budget_exceeded():
 def test_search_empty_tile():
     with pytest.raises(SizeError):
         search_lattice_tiling([])
+
+
+def test_search_tile_of_mixed_length():
+    for V in ([(0,), (0, 1)], [(0, 1), (1,)], [(0, 0), (1, 0), (0, 0, 1)]):
+        with pytest.raises(DimensionError):
+            search_lattice_tiling(V)
+
+
+def test_search_tile_of_z0():
+    with pytest.raises(DomainError):
+        search_lattice_tiling([()])
 
 
 # nodes visited with the first image pinned only in a cyclic group of
