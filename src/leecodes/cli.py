@@ -2,9 +2,10 @@
 
 Exit codes: 0 success/verified, 1 verified negative (NotFound,
 inadmissible, verification failed), 2 budget exceeded, 64 usage error
-(an argument value out of range, a decode word of the wrong length or a
---mod the code's period does not divide), 65 data-format error; run
-alone maps errors to them.
+(an argument value out of range, such as a --budget below 1, a decode
+word of the wrong length, a --mod the code's period does not divide or
+a verify --window too small to hold two codewords), 65 data-format
+error; run alone maps errors to them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import log10
 
 from . import codes, decoder, groups, lee, nonregular, tiling
 from .errors import (DataFormatError, DimensionError, DomainError, LeeCodeError,
-                     PeriodicityError)
+                     PeriodicityError, WindowError)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -206,11 +207,14 @@ def cmd_tile(args):
 
 
 def _budget(text):
-    """A node budget: an integer, also written like 1e6."""
+    """A node budget: an integer >= 1, also written like 1e6."""
     try:
-        return int(float(text))
+        k = int(float(text))
     except (ValueError, OverflowError):
         raise argparse.ArgumentTypeError(f"invalid budget {text!r}") from None
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"budget must be >= 1, got {text!r}")
+    return k
 
 
 def _at_least(text, least):
@@ -308,9 +312,10 @@ def run(argv):
     except DataFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (DimensionError, PeriodicityError) as exc:
-        # files are checked on load, so only decode's --word (its length)
-        # or --mod (a q the period does not divide) can raise these
+    except (DimensionError, PeriodicityError, WindowError) as exc:
+        # files are checked on load, so only decode's --word (its length),
+        # decode's --mod (a q the period does not divide) or verify's
+        # --window (too small to hold two codewords) can raise these
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except LeeCodeError as exc:

@@ -60,7 +60,7 @@ class AnticodeSpec:
     def __post_init__(self):
         if self.kind not in (SPHERE, DOUBLE_SPHERE):
             raise DomainError(f"unknown anticode kind {self.kind!r}")
-        if self.kind == DOUBLE_SPHERE and not 1 <= self.axis <= self.n:
+        if not 1 <= self.axis <= self.n:
             raise DomainError(f"axis {self.axis} out of range 1..{self.n}")
 
     def points(self):
@@ -108,13 +108,22 @@ def factorization_profile(n):
 
 @dataclass(frozen=True)
 class LinearLeeCode:
-    n: int
+    """A code is its anticode, phi and a kernel basis, with an optional
+    modulus q; n and the transversal are derived from them."""
+
     anticode: AnticodeSpec
     hom: Homomorphism
     basis: KernelBasis
-    transversal: str
     q: int | None = None
     blocks: tuple | None = field(default=None, compare=False)
+
+    @property
+    def n(self):
+        return self.hom.n
+
+    @property
+    def transversal(self):
+        return TRANSVERSAL_OF[self.anticode.kind]
 
 
 def is_admissible_q(n, q):
@@ -226,8 +235,8 @@ def construct_dpl4(n, q):
     basis = lattice_basis(hom, rows)
 
     anticode = AnticodeSpec(kind=DOUBLE_SPHERE, n=n, r=1, axis=1)
-    return LinearLeeCode(n=n, anticode=anticode, hom=hom, basis=basis,
-                         transversal=EVEN_WEIGHT, blocks=tuple(blocks))
+    return LinearLeeCode(anticode=anticode, hom=hom, basis=basis,
+                         blocks=tuple(blocks))
 
 
 def construct_pl1(n):
@@ -237,8 +246,7 @@ def construct_pl1(n):
     G = FiniteAbelianGroup((2 * n + 1,))
     hom = Homomorphism(G, tuple((i,) for i in range(1, n + 1)))
     anticode = AnticodeSpec(kind=SPHERE, n=n, r=1)
-    return LinearLeeCode(n=n, anticode=anticode, hom=hom,
-                         basis=kernel_basis(hom), transversal=IDENTITY)
+    return LinearLeeCode(anticode=anticode, hom=hom, basis=kernel_basis(hom))
 
 
 def apply_transversal(code, l):
@@ -247,7 +255,7 @@ def apply_transversal(code, l):
     Even-weight transversal: the even-Lee-weight member of the center
     pair {l, l + e_axis}; identity transversal: l itself.
     """
-    if code.transversal == IDENTITY:
+    if code.anticode.kind == SPHERE:
         return tuple(l)
     return even_weight_member(l, code.anticode.axis)
 
@@ -281,52 +289,36 @@ def codewords_mod_q(code):
 def codewords_in_window(code, R):
     """All codewords inside [-R,R]^n, sorted lexicographically.
 
-    Under the even-weight transversal the codeword of kernel point l is
-    l or l + e_axis, so the l with l_axis = -R - 1 are enumerated too.
+    The codeword of kernel point l is l or l + e_axis, so the l with
+    l_axis = -R - 1 are enumerated too; under the identity transversal
+    their codewords fall outside the window and are filtered out.
     """
     n = code.n
-    lo = [-R] * n
-    if code.transversal == IDENTITY:
-        return sorted(_kernel_points(code.hom, lo, [R] * n))
     a = code.anticode.axis - 1
+    lo = [-R] * n
     lo[a] = -R - 1
     cws = (apply_transversal(code, l) for l in _kernel_points(code.hom, lo, [R] * n))
     return sorted({c for c in cws if -R <= c[a] <= R})
 
 
-def _is_lattice_code(code):
-    """True when the codeword set equals the kernel lattice."""
-    if code.transversal == IDENTITY:
-        return True
-    return all(lee_weight(row) % 2 == 0 for row in code.basis.rows)
-
-
 def min_distance_window(code, R):
-    """Minimum pairwise Lee distance among codewords inside [-R,R]^n."""
+    """Least Lee weight of a nonzero codeword inside [-R,R]^n.
+
+    One rule for every code: the minimum distance is the least weight of
+    a nonzero codeword.  Let L0 be the even-weight part of ker(phi).
+    When the transversal is even-weight and ker(phi) holds an odd v, the
+    codewords are C = L0 ∪ (L0 + u) with u = v + e_axis, and
+    C - C = L0 ∪ ±(L0 + u); otherwise C = ker(phi) = C - C.  Either way
+    C - C = C ∪ -C has exactly the Lee weights of C.  The window value
+    is exact once R reaches the minimum distance d, since a codeword of
+    weight d has no coordinate beyond d.
+    """
     if R < 1:
         raise DomainError(f"window radius must be >= 1, got {R}")
     cws = codewords_in_window(code, R)
     if len(cws) < 2:
         raise WindowError(f"fewer than 2 codewords inside [-{R},{R}]^n")
-    if _is_lattice_code(code):
-        # codeword set is a lattice containing O: the minimum pairwise
-        # distance is realized against the origin
-        return min(lee_weight(c) for c in cws if any(c))
-    best = None
-    cws.sort()
-    for i, u in enumerate(cws):
-        for v in cws[i + 1:]:
-            d0 = v[0] - u[0]
-            if best is not None and d0 >= best:
-                break
-            d = d0
-            for a, b in zip(u[1:], v[1:]):
-                d += abs(a - b)
-                if best is not None and d >= best:
-                    break
-            if best is None or d < best:
-                best = d
-    return best
+    return min(lee_weight(c) for c in cws if any(c))
 
 
 # --- canonical JSON descriptor -------------------------------------------
@@ -422,8 +414,7 @@ def code_from_dict(d):
         raise DataFormatError(str(exc)) from exc
     if not is_bijection_on(hom, anticode.points()):
         raise DataFormatError("homomorphism is not bijective on the anticode")
-    return LinearLeeCode(n=n, anticode=anticode, hom=hom, basis=basis,
-                         transversal=transversal, q=q)
+    return LinearLeeCode(anticode=anticode, hom=hom, basis=basis, q=q)
 
 
 def code_from_json(text):

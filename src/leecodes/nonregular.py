@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .errors import DomainError, StructuralError, WindowError
 from .groups import FiniteAbelianGroup, element_order
 from .lee import double_sphere, even_weight_member
-from .tiling import (Homomorphism, _kernel_points, exact_cover, is_bijection_on,
-                     lattice_basis)
+from .tiling import (Homomorphism, KernelBasis, _kernel_points, exact_cover,
+                     is_bijection_on, lattice_basis)
 
 K1 = "K1"
 K2 = "K2"
@@ -108,18 +108,13 @@ def verify_nonregular(hom, n):
     return any(element_order(g, G) == G.order for g in hom.images[1:])
 
 
-@dataclass(frozen=True)
-class HalfKernelBasis:
-    rows: tuple  # HalfWord rows
-    det_abs: int
-
-
 def half_kernel_basis():
     """Kernel basis of the n=3 double-cross homomorphism inside M.
 
     Rows: -(1/2)e_1 + 3e_2, 24e_2, 13e_2 - e_3.  In doubled-first
     coordinates they are proved a kernel basis with |det| = |G| = 24,
-    which is 12 in cube volume.
+    which is 12 in cube volume: a KernelBasis of HalfWord rows and
+    det_abs 12.
     """
     half = half_lattice_hom(construct_double_cross_hom(3))
     rows = (
@@ -128,7 +123,7 @@ def half_kernel_basis():
         HalfWord(0, (13, -1)),
     )
     det2 = lattice_basis(half, [hw.doubled for hw in rows]).det_abs
-    return HalfKernelBasis(rows=rows, det_abs=det2 // 2)
+    return KernelBasis(rows=rows, det_abs=det2 // 2)
 
 
 def component_index_n3(center):

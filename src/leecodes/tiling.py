@@ -410,6 +410,8 @@ NOT_FOUND = "not_found"
 BUDGET_EXCEEDED = "budget_exceeded"
 
 DEFAULT_BUDGET = 10 ** 7
+# most failed full assignments a SearchResult keeps
+MAX_FAILURES = 1024
 
 
 @dataclass(frozen=True)
@@ -443,7 +445,7 @@ def _normalize_tile(V):
     return [tuple(a - b for a, b in zip(w, base)) for w in V]
 
 
-def _search_group(G, start, coeffs, budget, counts, failures, max_failures):
+def _search_group(G, start, coeffs, budget, counts, failures):
     """Depth-first image assignment in G; see search_lattice_tiling.
 
     The first image runs over one element per Aut(G)-orbit, the
@@ -487,7 +489,7 @@ def _search_group(G, start, coeffs, budget, counts, failures, max_failures):
                 counts[1] += 1
                 if ok:
                     return Homomorphism(G, tuple(images))
-                if len(failures) < max_failures:
+                if len(failures) < MAX_FAILURES:
                     failures.append((factors, tuple(images)))
             elif ok:
                 res = dfs(depth + 1, seen | fresh, [
@@ -501,7 +503,7 @@ def _search_group(G, start, coeffs, budget, counts, failures, max_failures):
     return dfs(0, {G.identity}, [G.identity] * len(coeffs[0]))
 
 
-def search_lattice_tiling(V, budget=DEFAULT_BUDGET, max_failures=1024):
+def search_lattice_tiling(V, budget=DEFAULT_BUDGET):
     """Exhaustive search for a homomorphism bijective on V.
 
     Deterministic: groups in canonical order, image assignments in
@@ -533,7 +535,7 @@ def search_lattice_tiling(V, budget=DEFAULT_BUDGET, max_failures=1024):
 
     for G in enumerate_abelian_groups(len(W)):
         groups_tried += 1
-        res = _search_group(G, start, coeffs, budget, counts, failures, max_failures)
+        res = _search_group(G, start, coeffs, budget, counts, failures)
         if res == BUDGET_EXCEEDED:
             return SearchResult(BUDGET_EXCEEDED, None, groups_tried, counts[1],
                                 counts[0], tuple(failures))

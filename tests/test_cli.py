@@ -212,6 +212,35 @@ def test_search_bad_budget_is_usage_error(tmp_path):
     assert run(["search", "--anticode", str(path), "--budget", "1e3"]) == EXIT_OK
 
 
+def test_search_budget_below_one_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "cross.txt"
+    path.write_text(format_words(lee_sphere(2, 1)) + "\n")
+    for budget in ("0", "-1", "0.5"):
+        assert run(["search", "--anticode", str(path), f"--budget={budget}"]) == EXIT_USAGE
+        assert "budget must be >= 1" in capsys.readouterr().err
+    assert run(["search", "--anticode", str(path), "--budget", "1"]) == EXIT_BUDGET
+
+
+def test_verify_window_too_small_is_usage_error(code_file, capsys):
+    # DPL(3,12) holds only the origin inside [-1,1]^3
+    assert run(["verify", "--code", code_file, "--window", "1"]) == EXIT_USAGE
+    assert "fewer than 2 codewords" in capsys.readouterr().err
+    assert run(["verify", "--code", code_file, "--window", "2"]) == EXIT_OK
+
+
+def test_verify_non_lattice_code(tmp_path, capsys):
+    # kernel rows (0, 3, 0) and (2, 2, 1) have odd Lee weight
+    path = tmp_path / "nonlattice.json"
+    path.write_text(json.dumps({
+        "n": 3, "anticode": {"kind": "double-sphere", "r": 1, "axis": 1},
+        "group": [4, 3], "images": [[1, 0], [0, 1], [2, 1]],
+        "transversal": "even-weight", "basis": [[4, 0, 0], [0, 3, 0], [2, 2, 1]],
+    }))
+    assert run(["verify", "--code", str(path), "--window", "3", "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["min_distance"] == 4 and payload["verified"]
+
+
 def test_groups_order_cap(capsys):
     assert run(["groups", "--order", str(MAX_GROUP_ORDER + 1)]) == EXIT_USAGE
     assert run(["groups", "--order", str(MAX_GROUP_ORDER), "--json"]) == EXIT_OK
@@ -342,6 +371,8 @@ def _field_id(v):
     ("dpl4", ("anticode", "r"), 1.0),
     ("dpl4", ("anticode", "axis"), 9),
     ("dpl4", ("anticode", "axis"), True),
+    ("pl1", ("anticode", "axis"), 0),
+    ("pl1", ("anticode", "axis"), 4),
     ("dpl4", ("anticode", "kind"), "cube"),
     ("dpl4", ("anticode", "r"), 2),
     ("dpl4", ("anticode", "r"), 10 ** 12),

@@ -157,8 +157,7 @@ def test_codeword_of_tile():
 def test_codeword_of_tile_odd_branch():
     # a kernel lattice with odd-weight points exercises the +e_1 shift
     pl1 = construct_pl1(2)
-    code = pl1.__class__(n=2, anticode=pl1.anticode, hom=pl1.hom,
-                         basis=pl1.basis, transversal=EVEN_WEIGHT)
+    code = replace(pl1, anticode=AnticodeSpec(DOUBLE_SPHERE, 2, 1))
     l = (5, 0)  # kernel vector of odd Lee weight
     assert codeword_of_tile(code, l) == (6, 0)
     assert lee_weight(codeword_of_tile(code, l)) % 2 == 0
@@ -221,8 +220,7 @@ def _odd_kernel_code(n, axis):
     """The PL(n,1) kernel under the even-weight transversal on `axis`: its
     odd-weight kernel points shift by e_axis, so the codewords are not a
     lattice."""
-    return replace(construct_pl1(n), transversal=EVEN_WEIGHT,
-                   anticode=AnticodeSpec(DOUBLE_SPHERE, n, 1, axis))
+    return replace(construct_pl1(n), anticode=AnticodeSpec(DOUBLE_SPHERE, n, 1, axis))
 
 
 @pytest.mark.parametrize("code", [_code(*c) for c in CERTIFY_CODES]
@@ -251,6 +249,27 @@ def test_min_distance_matches_pairwise_scan():
         for i, u in enumerate(cws) for v in cws[i + 1:]
     )
     assert min_distance_window(code, 12) == brute
+
+
+# a non-lattice DPL(3,4) code: its kernel rows (0, 3, 0) and (2, 2, 1)
+# have odd Lee weight, so the even-weight codewords are no lattice
+NON_LATTICE_DPL3 = {
+    "n": 3, "anticode": {"kind": DOUBLE_SPHERE, "r": 1, "axis": 1},
+    "group": [4, 3], "images": [[1, 0], [0, 1], [2, 1]],
+    "transversal": EVEN_WEIGHT, "basis": [[4, 0, 0], [0, 3, 0], [2, 2, 1]],
+}
+
+
+@pytest.mark.parametrize("R", [2, 3, 4])
+def test_min_distance_of_a_non_lattice_code_matches_pairwise_scan(R):
+    code = code_from_json(json.dumps(NON_LATTICE_DPL3))
+    assert any(lee_weight(row) % 2 for row in code.basis.rows)
+    cws = codewords_in_window(code, R)
+    brute = min(
+        sum(abs(a - b) for a, b in zip(u, v))
+        for i, u in enumerate(cws) for v in cws[i + 1:]
+    )
+    assert min_distance_window(code, R) == brute == 4
 
 
 def test_json_roundtrip_bit_exact():

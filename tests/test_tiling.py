@@ -580,7 +580,7 @@ def test_search_first_image_may_be_zero():
     assert is_bijection_on(res.hom, V)
 
 
-def _unpruned_search_group(G, start, coeffs, budget, counts, failures, max_failures):
+def _unpruned_search_group(G, start, coeffs, budget, counts, failures):
     """tiling._search_group with every element tried at depth 0."""
     factors = G.factors
     n = len(coeffs)
@@ -607,7 +607,7 @@ def _unpruned_search_group(G, start, coeffs, budget, counts, failures, max_failu
                 counts[1] += 1
                 if ok:
                     return Homomorphism(G, tuple(images))
-                if len(failures) < max_failures:
+                if len(failures) < tiling.MAX_FAILURES:
                     failures.append((factors, tuple(images)))
             elif ok:
                 res = dfs(depth + 1, seen | fresh, [
