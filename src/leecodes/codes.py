@@ -268,7 +268,9 @@ def codeword_of_tile(code, l):
 
 
 def restrict_to_zq(code, q):
-    """Restriction to Z_q^n; requires the code period to divide q."""
+    """Restriction to Z_q^n; requires q >= 1 and the code period to divide q."""
+    if q < 1:
+        raise DomainError(f"modulus must be >= 1, got {q}")
     p = period(code.hom)
     if q % p != 0:
         raise PeriodicityError(f"period {p} does not divide q = {q}")

@@ -397,6 +397,11 @@ def verify_window_tiling(hom, V, R):
     centers.
     """
     V = list(V)
+    if not V:
+        raise SizeError("tile must be nonempty")
+    for v in V:
+        if len(v) != hom.n:
+            raise DimensionError(f"word length {len(v)} != {hom.n}")
     axes = list(zip(*V))
     lo = [-R - max(col) for col in axes]
     hi = [R - min(col) for col in axes]

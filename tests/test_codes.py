@@ -178,6 +178,12 @@ def test_restrict_to_zq_rejects_bad_modulus():
         restrict_to_zq(construct_dpl4(3, 12), 8)
 
 
+def test_restrict_to_zq_rejects_nonpositive_modulus():
+    for q in (0, -12):
+        with pytest.raises(DomainError):
+            restrict_to_zq(construct_dpl4(3, 12), q)
+
+
 def test_codewords_mod_q_pl1():
     code = restrict_to_zq(construct_pl1(2), 5)
     cws = codewords_mod_q(code)

@@ -1,50 +1,45 @@
 import random
 from dataclasses import replace
-from itertools import product
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leecodes import (
+    DecoderTable,
     build_decoder_table,
     construct_dpl4,
     construct_pl1,
     decode,
     decode_modular,
+    is_admissible_q,
     lee_distance,
-    lex_rank,
 )
+from leecodes.codes import apply_transversal
 from leecodes.errors import (
     ConstructionError,
     DimensionError,
     DomainError,
     PeriodicityError,
 )
-from leecodes.tiling import apply_hom
+from leecodes.tiling import Homomorphism, apply_hom
 
 
 def test_table_inverts_restriction():
     for code in [construct_pl1(2), construct_dpl4(2, 4), construct_dpl4(3, 12)]:
         table = build_decoder_table(code)
-        G = code.hom.group
-        assert len(table.entries) == G.order
+        assert len(table.inverse) == code.hom.group.order
         for w in code.anticode.points():
-            g = apply_hom(code.hom, w)
-            assert table.entries[lex_rank(g, G) - 1] == w
+            assert table.inverse[apply_hom(code.hom, w)] == w
 
 
 def test_table_slot_examples():
     table = build_decoder_table(construct_pl1(2))
-    assert table.entries[0] == (0, 0)  # identity slot holds the origin
+    assert table.inverse[(0,)] == (0, 0)  # the identity maps back to the origin
     table = build_decoder_table(construct_dpl4(3, 12))
-    # phi(e_3) = 5, so the rank-6 slot holds e_3
-    assert table.entries[5] == (0, 0, 1)
-
-
-def test_table_dump_format():
-    table = build_decoder_table(construct_pl1(2))
-    lines = table.dump().splitlines()
-    assert len(lines) == 5
-    assert lines[0] == "1: 0,0"
+    # phi(e_3) = 5
+    assert table.inverse[(5,)] == (0, 0, 1)
 
 
 def test_decode_examples():
@@ -133,20 +128,49 @@ def test_decode_modular_equals_reduced_decode():
             assert decode_modular(table, a, q) == want
 
 
-def test_decode_rejects_swapped_table_entries():
-    code = construct_dpl4(3, 12)
-    table = build_decoder_table(code)
-    entries = list(table.entries)
-    entries[1], entries[5] = entries[5], entries[1]
-    bad = replace(table, entries=tuple(entries))
-    # words whose phi lands on one of the two swapped slots read a wrong entry
-    swapped = {apply_hom(code.hom, entries[1]), apply_hom(code.hom, entries[5])}
-    rejected = 0
-    for a in product(range(-3, 4), repeat=3):
-        if apply_hom(code.hom, a) in swapped:
-            with pytest.raises(ConstructionError):
-                decode(bad, a)
-            rejected += 1
-        else:
-            assert decode(bad, a) == decode(table, a)
-    assert rejected > 0
+def test_replaced_code_rederives_the_table():
+    table = build_decoder_table(construct_dpl4(3, 12))
+    other = build_decoder_table(construct_dpl4(6, 24))
+    moved = replace(table, code=other.code)
+    assert moved.inverse == other.inverse
+    assert moved.period == other.period == 24
+    a = (5, -3, 7, 0, 2, 11)
+    assert decode(moved, a) == decode(other, a)
+
+
+def test_table_rejects_phi_colliding_on_the_anticode():
+    code = construct_pl1(2)
+    # phi(e_1) = phi(e_2) = 1 in Z_5 sends e_1 and e_2 to one element
+    bad = replace(code, hom=Homomorphism(code.hom.group, ((1,), (1,))))
+    with pytest.raises(ConstructionError):
+        DecoderTable(bad)
+
+
+# every admissible DPL(n,4,q) with n <= 40 and every PL(n,1) with n <= 20
+DECODE_CODES = [("dpl4", n, q) for n in range(1, 41) for q in range(4, 4 * n + 1, 4)
+                if is_admissible_q(n, q)] + [("pl1", n, None) for n in range(1, 21)]
+
+
+@cache
+def _table_and_anticode(kind, n, q):
+    code = construct_dpl4(n, q) if kind == "dpl4" else construct_pl1(n)
+    return build_decoder_table(code), frozenset(code.anticode.points())
+
+
+@st.composite
+def codes_and_words(draw):
+    kind, n, q = draw(st.sampled_from(DECODE_CODES))
+    word = tuple(draw(st.lists(st.integers(-200, 200), min_size=n, max_size=n)))
+    return _table_and_anticode(kind, n, q), word
+
+
+@settings(max_examples=400, deadline=None)
+@given(codes_and_words())
+def test_decode_contract(case):
+    (table, anticode), a = case
+    code = table.code
+    res = decode(table, a)
+    l = res.tile_vector
+    assert apply_hom(code.hom, l) == code.hom.group.identity
+    assert tuple(x - y for x, y in zip(a, l)) in anticode
+    assert res.codeword == apply_transversal(code, l)

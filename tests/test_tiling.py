@@ -332,6 +332,15 @@ def test_verify_window_tiling_tile_off_the_origin():
     assert not verify_window_tiling(Homomorphism(Z5, ((1,), (4,))), cross, 4)
 
 
+def test_verify_window_tiling_rejects_a_tile_phi_cannot_read():
+    cross = lee_sphere(2, 1)
+    for tile in ([(v[0],) for v in cross], [v + (0,) for v in cross]):
+        with pytest.raises(DimensionError):
+            verify_window_tiling(CROSS_HOM, tile, 3)
+    with pytest.raises(SizeError):
+        verify_window_tiling(CROSS_HOM, [], 3)
+
+
 def _factor_tuples(limit):
     """Every tuple of cyclic factors >= 2 with product <= limit, () included."""
     out = [()]
