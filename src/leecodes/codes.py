@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import prod
 
 from .errors import (
@@ -26,9 +27,11 @@ from .groups import FiniteAbelianGroup, factorize
 from .lee import (
     double_sphere,
     double_sphere_size,
+    double_sphere_sparse,
     even_weight_member,
     lee_sphere,
     lee_sphere_size,
+    lee_sphere_sparse,
     lee_weight,
 )
 from .tiling import (
@@ -36,7 +39,7 @@ from .tiling import (
     KernelBasis,
     _kernel_points,
     apply_hom,
-    is_bijection_on,
+    inverse_on,
     kernel_basis,
     lattice_basis,
     period,
@@ -64,9 +67,16 @@ class AnticodeSpec:
             raise DomainError(f"axis {self.axis} out of range 1..{self.n}")
 
     def points(self):
+        """The points, dense and sorted lexicographically."""
         if self.kind == SPHERE:
             return lee_sphere(self.n, self.r)
         return double_sphere(self.n, self.r, self.axis)
+
+    def sparse_points(self):
+        """The points in sparse form (see lee.nonzeros), unordered."""
+        if self.kind == SPHERE:
+            return lee_sphere_sparse(self.n, self.r)
+        return double_sphere_sparse(self.n, self.r, self.axis)
 
     @property
     def size(self):
@@ -109,7 +119,8 @@ def factorization_profile(n):
 @dataclass(frozen=True)
 class LinearLeeCode:
     """A code is its anticode, phi and a kernel basis, with an optional
-    modulus q; n and the transversal are derived from them."""
+    modulus q; n, the transversal and phi's inverse on the anticode are
+    derived from them."""
 
     anticode: AnticodeSpec
     hom: Homomorphism
@@ -124,6 +135,12 @@ class LinearLeeCode:
     @property
     def transversal(self):
         return TRANSVERSAL_OF[self.anticode.kind]
+
+    @cached_property
+    def inverse(self):
+        """phi's inverse on the anticode, {phi(v): sparse form of v}; None if
+        phi collides on it.  Derived once per code object."""
+        return inverse_on(self.hom, self.anticode.sparse_points())
 
 
 def is_admissible_q(n, q):
@@ -414,9 +431,10 @@ def code_from_dict(d):
         basis = lattice_basis(hom, rows)
     except ConstructionError as exc:
         raise DataFormatError(str(exc)) from exc
-    if not is_bijection_on(hom, anticode.points()):
+    code = LinearLeeCode(anticode=anticode, hom=hom, basis=basis, q=q)
+    if code.inverse is None:
         raise DataFormatError("homomorphism is not bijective on the anticode")
-    return LinearLeeCode(anticode=anticode, hom=hom, basis=basis, q=q)
+    return code
 
 
 def code_from_json(text):

@@ -1,19 +1,20 @@
 """Table-driven decoding for linear perfect Lee codes.
 
-The table is phi's inverse on the anticode, a dict {phi(w): w} derived
-from the code alone.  Decoding a word a costs one evaluation of phi and
-one dict lookup: a decodes to the kernel vector l = a - inverse[phi(a)],
-then to the codeword of the tile at l.
+The table is phi's inverse on the anticode, a dict from phi(w) to the
+sparse form of w, derived once per code (LinearLeeCode.inverse).
+Decoding a word a costs one packed evaluation of phi, one dict lookup
+and the subtraction of the at most r + 1 nonzeros of an anticode point:
+a decodes to the kernel vector l = a - inverse[phi(a)], then to the
+codeword of the tile at l.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import sub
 
 from .codes import apply_transversal
 from .errors import ConstructionError, DomainError, PeriodicityError
-from .tiling import apply_hom, inverse_on, period
+from .tiling import apply_hom, period
 
 
 @dataclass(frozen=True)
@@ -21,8 +22,9 @@ class DecoderTable:
     """phi's inverse on the anticode of code, and the code's period.
 
     Both are derived from code, and replace(table, code=...) derives
-    them again, so inverse[g] is an anticode point with phi = g for
-    every g in G.
+    them again, so inverse[g] is the sparse form of an anticode point
+    with phi = g for every g in G.  The inverse is the code's own
+    (code.inverse), computed once however many tables share the code.
     """
 
     code: "LinearLeeCode"
@@ -30,7 +32,7 @@ class DecoderTable:
     period: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        inv = inverse_on(self.code.hom, self.code.anticode.points())
+        inv = self.code.inverse
         if inv is None:
             raise ConstructionError("phi is not bijective on the anticode")
         object.__setattr__(self, "inverse", inv)
@@ -38,7 +40,7 @@ class DecoderTable:
 
 
 def build_decoder_table(code):
-    """Invert the restriction of phi to the anticode, one pass."""
+    """The decoder table of code: phi's inverse on its anticode and its period."""
     return DecoderTable(code)
 
 
@@ -51,9 +53,13 @@ class DecodeResult:
 def decode(table, a):
     """Decode a word of Z^n to its codeword and tile translation vector.
 
-    phi(inverse[g]) = g, so l = a - inverse[phi(a)] is in the kernel.
+    phi(inverse[g]) = g, so l = a - inverse[phi(a)] is in the kernel;
+    inverse[g] is sparse, so only its nonzeros are subtracted.
     """
-    l = tuple(map(sub, a, table.inverse[apply_hom(table.code.hom, a)]))
+    l = list(a)
+    for i, x in table.inverse[apply_hom(table.code.hom, a)]:
+        l[i] -= x
+    l = tuple(l)
     return DecodeResult(codeword=apply_transversal(table.code, l), tile_vector=l)
 
 

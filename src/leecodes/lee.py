@@ -1,14 +1,17 @@
 """Lee-metric primitives.
 
 Words are plain tuples of Python integers, so there is no silent
-wraparound at any scale.  All enumerations are emitted in lexicographic
-order by coordinates, which keeps golden files stable.
+wraparound at any scale.  All dense enumerations are emitted in
+lexicographic order by coordinates, which keeps golden files stable.
+The spheres are enumerated by support in sparse form (see nonzeros),
+unordered; the dense lists are sorted views of those.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, compress, count, product
 from math import comb
+from operator import mul
 
 from .errors import DimensionError, DomainError
 
@@ -60,26 +63,71 @@ def _positive_parts(k, total):
             yield (first,) + rest
 
 
-def lee_sphere(n, r):
-    """All words of Z^n within Lee distance r of the origin, lexicographic.
-
-    Enumerated by support (nonzero positions, magnitudes, signs), so the
-    cost is proportional to the sphere volume even when n is large.
-    """
+def _check_sphere(n, r):
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
     if r < 0:
         raise DomainError(f"radius must be >= 0, got {r}")
-    out = []
+
+
+def _sphere_sparse(n, r):
+    """The Lee sphere of radius r in Z^n in sparse form, by support.
+
+    Support positions, magnitudes and signs are chosen in turn, so the
+    cost is proportional to the sphere volume even when n is large.
+    """
     for k in range(min(n, r) + 1):
         for positions in combinations(range(n), k):
             for mags in _positive_parts(k, r):
                 for signs in product((1, -1), repeat=k):
-                    w = [0] * n
-                    for pos, mag, sign in zip(positions, mags, signs):
-                        w[pos] = sign * mag
-                    out.append(tuple(w))
-    return sorted(out)
+                    yield tuple(zip(positions, map(mul, signs, mags)))
+
+
+def _dense(n, items):
+    w = [0] * n
+    for i, x in items:
+        w[i] = x
+    return tuple(w)
+
+
+def lee_sphere_sparse(n, r):
+    """The words of lee_sphere(n, r) in sparse form (see nonzeros), unordered."""
+    _check_sphere(n, r)
+    return list(_sphere_sparse(n, r))
+
+
+def lee_sphere(n, r):
+    """All words of Z^n within Lee distance r of the origin, lexicographic."""
+    return sorted(_dense(n, w) for w in lee_sphere_sparse(n, r))
+
+
+def _bump(items, k):
+    """Sparse w + e_k for a sparse w with w_k >= 0."""
+    for j, (i, x) in enumerate(items):
+        if i >= k:
+            if i == k:
+                return items[:j] + ((k, x + 1),) + items[j + 1:]
+            return items[:j] + ((k, 1),) + items[j:]
+    return items + ((k, 1),)
+
+
+def double_sphere_sparse(n, r, axis=1):
+    """The words of double_sphere(n, r, axis) in sparse form, unordered.
+
+    S(e_axis) = S(O) + e_axis, and w + e_axis for w in S(O) lies outside
+    S(O) exactly when w has weight r and w_axis >= 0, so those are the
+    words added to S(O), each once.
+    """
+    if not 1 <= axis <= n:
+        raise DomainError(f"axis {axis} out of range 1..{n}")
+    _check_sphere(n, r)
+    k = axis - 1
+    out = []
+    for w in _sphere_sparse(n, r):
+        out.append(w)
+        if sum(abs(x) for _, x in w) == r and dict(w).get(k, 0) >= 0:
+            out.append(_bump(w, k))
+    return out
 
 
 def double_sphere(n, r, axis=1):
@@ -87,30 +135,18 @@ def double_sphere(n, r, axis=1):
 
     axis is 1-based; the canonical copy has axis 1.
     """
-    if not 1 <= axis <= n:
-        raise DomainError(f"axis {axis} out of range 1..{n}")
-    k = axis - 1
-    sphere = lee_sphere(n, r)
-    pts = set(sphere)
-    pts.update(w[:k] + (w[k] + 1,) + w[k + 1:] for w in sphere)
-    return sorted(pts)
+    return sorted(_dense(n, w) for w in double_sphere_sparse(n, r, axis))
 
 
 def lee_sphere_size(n, r):
     """Closed-form volume of the Lee sphere of radius r in Z^n, exact integer arithmetic."""
-    if n < 1:
-        raise DomainError(f"dimension must be >= 1, got {n}")
-    if r < 0:
-        raise DomainError(f"radius must be >= 0, got {r}")
+    _check_sphere(n, r)
     return sum(2 ** i * comb(n, i) * comb(r, i) for i in range(min(n, r) + 1))
 
 
 def double_sphere_size(n, r):
     """Closed-form volume of the double sphere, exact integer arithmetic."""
-    if n < 1:
-        raise DomainError(f"dimension must be >= 1, got {n}")
-    if r < 0:
-        raise DomainError(f"radius must be >= 0, got {r}")
+    _check_sphere(n, r)
     return sum(
         2 ** (i + 1) * comb(n - 1, i) * comb(r + 1, i + 1)
         for i in range(min(n - 1, r) + 1)

@@ -9,13 +9,25 @@ ker(phi), an exact kernel-basis extraction, the kernel points of a box
 by back substitution on that basis, the tiling period, a finite-window
 exact-cover oracle, and the exhaustive search over groups and image
 assignments.
+
+phi is evaluated in one pass over the word for any G = Z_t1 x ... x Z_ts.
+The image of e_i is packed into one integer with coordinate j at bit
+offset j * w.  For s >= 2 each a_i is first reduced mod the exponent L
+of G, which leaves phi(a) unchanged since L * g = 0 for every g; then
+every field of sum (a_i mod L) * packed_i is a sum of at most n terms
+in [0, (L - 1)(t_max - 1)], so w = bit_length(n (L - 1)(t_max - 1)) + 1
+keeps each field below 2^w and no field carries into the next.  One
+product sum and s shift/mask/mod extractions give phi(a).  A one-factor
+group packs to the plain column and needs no reduction: its one field
+cannot overflow into another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import lcm, prod
-from operator import mul, sub
+from operator import mod, mul, sub
 
 from .errors import (
     ConstructionError,
@@ -38,14 +50,20 @@ class Homomorphism:
     """Images of e_1..e_n in G; half_image, when set, is the image of (1/2)e_1.
 
     columns holds, per cyclic factor t of G, the pair (t, image
-    coordinates in that factor): the column-major form every evaluation
-    of phi reads.
+    coordinates in that factor).  packed holds, per e_i, its image
+    coordinates packed into one integer with coordinate j at bit offset
+    j * width, and exponent is the exponent L of G; see the module
+    docstring for why width suffices.  None of them is part of ==, hash
+    or repr.
     """
 
     group: FiniteAbelianGroup
     images: tuple
     half_image: tuple | None = None
     columns: tuple = field(init=False, repr=False, compare=False)
+    packed: tuple = field(init=False, repr=False, compare=False)
+    width: int = field(init=False, repr=False, compare=False)
+    exponent: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "images", tuple(tuple(g) for g in self.images))
@@ -59,9 +77,16 @@ class Homomorphism:
                 raise StructuralError("half image not in group")
             if self.group.add(h, h) != self.images[0]:
                 raise StructuralError("half image does not double to the e_1 image")
+        factors = self.group.factors
         object.__setattr__(self, "columns", tuple(
-            (t, tuple(g[j] for g in self.images))
-            for j, t in enumerate(self.group.factors)
+            (t, tuple(g[j] for g in self.images)) for j, t in enumerate(factors)
+        ))
+        L = lcm(*factors)
+        w = (self.n * (L - 1) * (max(factors, default=1) - 1)).bit_length() + 1
+        object.__setattr__(self, "exponent", L)
+        object.__setattr__(self, "width", w)
+        object.__setattr__(self, "packed", tuple(
+            sum(x << j * w for j, x in enumerate(g)) for g in self.images
         ))
 
     @property
@@ -75,28 +100,69 @@ class KernelBasis:
     det_abs: int
 
 
+def _unpack(hom, x):
+    """phi from x = sum a_i * packed_i: one field per factor, reduced mod its order."""
+    factors = hom.group.factors
+    if len(factors) == 1:
+        return (x % factors[0],)
+    w = hom.width
+    mask = (1 << w) - 1
+    return tuple((x >> j * w & mask) % t for j, t in enumerate(factors))
+
+
 def apply_hom(hom, a):
-    """phi(a) = sum a_i * phi(e_i), reduced componentwise in G."""
+    """phi(a) = sum a_i * phi(e_i), reduced componentwise in G.
+
+    One pass over a for any G: the sum runs over the packed images,
+    with each a_i first reduced mod the exponent of G when G has two or
+    more factors, so that no field of the packed sum carries into the
+    next (see the module docstring).
+    """
     if len(a) != hom.n:
         raise DimensionError(f"word length {len(a)} != {hom.n}")
-    return tuple(sum(map(mul, a, col)) % t for t, col in hom.columns)
+    if len(hom.group.factors) != 1:
+        a = map(mod, a, repeat(hom.exponent))
+    return _unpack(hom, sum(map(mul, a, hom.packed)))
 
 
 def apply_hom_sparse(hom, items):
-    """phi of a sparse word given as a sequence of (index, value) pairs, 0-based."""
-    return tuple(sum(x * col[i] for i, x in items) % t for t, col in hom.columns)
+    """phi of a sparse word given as a sequence of (index, value) pairs, 0-based.
+
+    The indices must be distinct, as in the sparse form `nonzeros`
+    gives: the packed layout of apply_hom bounds the fields for at most
+    n terms.
+    """
+    packed = hom.packed
+    if len(hom.group.factors) == 1:
+        return _unpack(hom, sum(x * packed[i] for i, x in items))
+    L = hom.exponent
+    return _unpack(hom, sum(x % L * packed[i] for i, x in items))
 
 
 def inverse_on(hom, words):
-    """phi's inverse {phi(w): w} on |G| words, or None if phi collides on them."""
+    """phi's inverse {phi(w): w} on |G| words, or None if phi collides on them.
+
+    Each word is dense (n integers) or sparse (the (index, value) pairs
+    `nonzeros` gives, indices ascending); the values are the words as
+    given.  The empty word is the origin in either form.
+    """
     words = list(words)
     if len(words) != hom.group.order:
         raise SizeError(f"|V| = {len(words)} != |G| = {hom.group.order}")
+    n = hom.n
     inv = {}
     for w in words:
-        if len(w) != hom.n:
-            raise DimensionError(f"word length {len(w)} != {hom.n}")
-        g = apply_hom_sparse(hom, nonzeros(w))
+        if not w:
+            items = w
+        elif type(w[0]) is tuple:
+            if not 0 <= w[0][0] <= w[-1][0] < n:
+                raise DimensionError(f"sparse word {w} has an index outside 0..{n - 1}")
+            items = w
+        elif len(w) == n:
+            items = nonzeros(w)
+        else:
+            raise DimensionError(f"word length {len(w)} != {n}")
+        g = apply_hom_sparse(hom, items)
         if g in inv:
             return None
         inv[g] = w

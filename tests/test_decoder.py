@@ -1,4 +1,5 @@
 import random
+import sys
 from dataclasses import replace
 from functools import cache
 
@@ -16,13 +17,15 @@ from leecodes import (
     is_admissible_q,
     lee_distance,
 )
-from leecodes.codes import apply_transversal
+from leecodes import tiling
+from leecodes.codes import apply_transversal, code_from_json, code_to_json
 from leecodes.errors import (
     ConstructionError,
     DimensionError,
     DomainError,
     PeriodicityError,
 )
+from leecodes.lee import nonzeros
 from leecodes.tiling import Homomorphism, apply_hom
 
 
@@ -31,15 +34,15 @@ def test_table_inverts_restriction():
         table = build_decoder_table(code)
         assert len(table.inverse) == code.hom.group.order
         for w in code.anticode.points():
-            assert table.inverse[apply_hom(code.hom, w)] == w
+            assert table.inverse[apply_hom(code.hom, w)] == nonzeros(w)
 
 
 def test_table_slot_examples():
     table = build_decoder_table(construct_pl1(2))
-    assert table.inverse[(0,)] == (0, 0)  # the identity maps back to the origin
+    assert table.inverse[(0,)] == ()  # the identity maps back to the origin
     table = build_decoder_table(construct_dpl4(3, 12))
     # phi(e_3) = 5
-    assert table.inverse[(5,)] == (0, 0, 1)
+    assert table.inverse[(5,)] == ((2, 1),)
 
 
 def test_decode_examples():
@@ -144,6 +147,24 @@ def test_table_rejects_phi_colliding_on_the_anticode():
     bad = replace(code, hom=Homomorphism(code.hom.group, ((1,), (1,))))
     with pytest.raises(ConstructionError):
         DecoderTable(bad)
+
+
+def test_load_and_table_invert_the_anticode_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = tiling.inverse_on
+    for name, module in list(sys.modules.items()):
+        if name.startswith("leecodes") and hasattr(module, "inverse_on"):
+            monkeypatch.setattr(module, "inverse_on", counted)
+    text = code_to_json(construct_dpl4(6, 24))
+    assert not calls
+    table = build_decoder_table(code_from_json(text))
+    assert len(calls) == 1
+    assert table.inverse is table.code.inverse
 
 
 # every admissible DPL(n,4,q) with n <= 40 and every PL(n,1) with n <= 20

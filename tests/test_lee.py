@@ -12,10 +12,12 @@ from leecodes import (
 )
 from leecodes.errors import DimensionError, DomainError
 from leecodes.lee import (
+    double_sphere_sparse,
     even_weight_member,
     format_word,
     format_words,
     lee_sphere_size,
+    lee_sphere_sparse,
     nonzeros,
     parse_word,
     parse_words,
@@ -114,6 +116,19 @@ def test_spheres_match_brute_force_all_axes(n, r):
         e = tuple(int(i == axis - 1) for i in range(n))
         shifted = {tuple(a + b for a, b in zip(w, e)) for w in sphere}
         assert double_sphere(n, r, axis) == sorted(sphere | shifted)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_sparse_spheres_are_the_dense_ones(n, r):
+    # each word once, in the ascending-index form nonzeros gives
+    sparse = lee_sphere_sparse(n, r)
+    assert len(sparse) == len(set(sparse)) == lee_sphere_size(n, r)
+    assert sorted(sparse) == sorted(map(nonzeros, lee_sphere(n, r)))
+    for axis in range(1, n + 1):
+        sparse = double_sphere_sparse(n, r, axis)
+        assert len(sparse) == len(set(sparse)) == double_sphere_size(n, r)
+        assert sorted(sparse) == sorted(map(nonzeros, double_sphere(n, r, axis)))
 
 
 def test_lee_sphere_size_domain():

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 from operator import add
 
@@ -23,6 +24,7 @@ from leecodes.nonregular import (
     HalfWord,
     double_cross_support,
     half_lattice_hom,
+    lex_sort,
 )
 from leecodes.tiling import Homomorphism, apply_hom
 
@@ -233,6 +235,18 @@ def test_shifted_tiling_equals_congruence_loop(bits):
     for R in windows:
         want = tuple(c for c, r in zip(reference, reach) if r <= R + 2)
         assert shifted_tiling_n3(bits, R).centers == want, (bits, R)
+
+
+def test_lex_sort_equals_sorted_on_shuffled_centers():
+    rng = random.Random(11)
+    centers = list(shifted_tiling_n3("101", 24).centers)
+    ties = [tuple(rng.randrange(-2, 3) for _ in range(3)) for _ in range(500)]
+    for points in (centers, ties, [], [(1, 0, 0)]):
+        for _ in range(3):
+            rng.shuffle(points)
+            got = list(points)
+            lex_sort(got)
+            assert got == sorted(points)
 
 
 def test_shifted_tiling_window_too_small():

@@ -25,6 +25,7 @@ from leecodes.errors import (
     SizeError,
     StructuralError,
 )
+from leecodes.lee import lee_sphere_sparse, nonzeros
 from leecodes.tiling import (
     BUDGET_EXCEEDED,
     FOUND,
@@ -58,6 +59,42 @@ def test_apply_hom_sparse_matches_dense():
     for a in [(0, 0, 0, 0), (1, -2, 0, 5), (0, 0, 0, -1), (24, 3, -7, 0)]:
         sparse = [(i, x) for i, x in enumerate(a) if x]
         assert apply_hom_sparse(hom, sparse) == apply_hom(hom, a)
+
+
+@st.composite
+def homs_and_words(draw):
+    factors = draw(st.lists(st.integers(2, 64), min_size=1, max_size=6))
+    n = draw(st.integers(0, 40))
+    image = st.tuples(*(st.integers(0, t - 1) for t in factors))
+    images = draw(st.lists(image, min_size=n, max_size=n))
+    coord = st.integers(-10 ** 30, 10 ** 30)
+    a = draw(st.lists(coord, min_size=n, max_size=n))
+    return Homomorphism(FiniteAbelianGroup(tuple(factors)), tuple(images)), tuple(a)
+
+
+def column_sums(hom, a):
+    """phi(a) one cyclic factor at a time: the reference for the packed sum."""
+    return tuple(sum(x * g[j] for x, g in zip(a, hom.images)) % t
+                 for j, t in enumerate(hom.group.factors))
+
+
+@settings(max_examples=300, deadline=None)
+@given(homs_and_words())
+def test_packed_phi_equals_column_sums(case):
+    hom, a = case
+    want = column_sums(hom, a)
+    assert apply_hom(hom, a) == want
+    assert apply_hom_sparse(hom, nonzeros(a)) == want
+
+
+@pytest.mark.parametrize("factors", [(64, 64), (63, 64, 2), (4, 2, 2, 2, 2, 2)])
+def test_packed_phi_fields_at_their_largest(factors):
+    # every field sum at its bound n (L - 1)(t_max - 1): no carry between fields
+    n = 40
+    hom = Homomorphism(FiniteAbelianGroup(factors), ((*(t - 1 for t in factors),),) * n)
+    for a in [(-1,) * n, (10 ** 30 - 1,) * n, tuple(range(-20, 20))]:
+        assert apply_hom(hom, a) == column_sums(hom, a)
+        assert apply_hom_sparse(hom, nonzeros(a)) == column_sums(hom, a)
 
 
 def test_columns_are_not_part_of_equality():
@@ -98,6 +135,13 @@ def test_inverse_on_inverts_phi_on_the_tile():
     inv = inverse_on(CROSS_HOM, lee_sphere(2, 1))
     assert sorted(inv) == [(g,) for g in range(5)]
     assert all(apply_hom(CROSS_HOM, w) == g for g, w in inv.items())
+
+
+def test_inverse_on_sparse_words():
+    inv = inverse_on(CROSS_HOM, lee_sphere_sparse(2, 1))
+    assert inv == {g: nonzeros(w) for g, w in inverse_on(CROSS_HOM, lee_sphere(2, 1)).items()}
+    with pytest.raises(DimensionError):
+        inverse_on(CROSS_HOM, [(), ((0, 1),), ((1, 1),), ((0, -1),), ((2, -1),)])
 
 
 def test_inverse_on_collision_is_none():
