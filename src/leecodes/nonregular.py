@@ -2,21 +2,24 @@
 
 Points of the lattice generated by (1/2)e_1, e_2, ..., e_n are stored
 exactly with a doubled first coordinate; no floating point anywhere.
-The n=3 family shifts diagonal connectivity components of the tiling
-per a finite bit string, yielding pairwise-distinct integer-centered
-window tilings and, through the even-weight transversal, non-lattice
-diameter-4 codes on the window.
+The double cross W is checked in sparse form, at most two nonzeros per
+word, so the bijection check costs O(n) for its 8n words.  The n=3
+family shifts diagonal connectivity components of the tiling per a
+finite bit string, yielding pairwise-distinct integer-centered window
+tilings and, through the even-weight transversal taken column by
+column, non-lattice diameter-4 codes on the window.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import groupby, repeat
+from operator import add, and_, itemgetter
 
 from .errors import DomainError, StructuralError, WindowError
 from .groups import FiniteAbelianGroup, element_order
-from .lee import double_sphere, even_weight_member
+from .lee import _dense, double_sphere, double_sphere_sparse
 from .tiling import (Homomorphism, KernelBasis, _kernel_points, exact_cover,
                      is_bijection_on, lattice_basis)
 
@@ -49,13 +52,31 @@ def _split_power_of_two(n):
     return t, (m - 1) // 2  # n = 2^t * (2k+1)
 
 
-def double_cross_support(n):
-    """The 8n half-lattice points of W = V | (V + (1/2)e_1), doubled form."""
+def double_cross_support_sparse(n):
+    """The words of double_cross_support(n) in sparse form, unordered.
+
+    A sparse word of V = double_sphere(n, 1, 1) whose first pair is
+    (0, x) gives the doubled words with first pair (0, 2x) and
+    (0, 2x + 1), both nonzero for x != 0; any other word w (x = 0)
+    gives w and ((0, 1),) + w.  Indices stay ascending, as inverse_on
+    requires.
+    """
     out = []
-    for v in double_sphere(n, 1, 1):
-        out.append((2 * v[0],) + tuple(v[1:]))
-        out.append((2 * v[0] + 1,) + tuple(v[1:]))
-    return sorted(out)
+    for w in double_sphere_sparse(n, 1, 1):
+        if w and w[0][0] == 0:
+            rest = w[1:]
+            x = 2 * w[0][1]
+            out.append(((0, x),) + rest)
+            out.append(((0, x + 1),) + rest)
+        else:
+            out.append(w)
+            out.append(((0, 1),) + w)
+    return out
+
+
+def double_cross_support(n):
+    """The 8n half-lattice points of W = V | (V + (1/2)e_1), doubled form, sorted."""
+    return sorted(_dense(n, w) for w in double_cross_support_sparse(n))
 
 
 def construct_double_cross_hom(n):
@@ -103,7 +124,7 @@ def verify_nonregular(hom, n):
     """
     half = half_lattice_hom(hom)
     G = hom.group
-    W = double_cross_support(n)
+    W = double_cross_support_sparse(n)
     if len(W) != G.order or not is_bijection_on(half, W):
         return False
     return any(element_order(g, G) == G.order for g in hom.images[1:])
@@ -213,5 +234,17 @@ def verify_cover(tiling):
 
 
 def code_from_window_tiling(tiling):
-    """One codeword per tile: the even-Lee-weight member of {c, c + e_1}."""
-    return sorted({even_weight_member(c) for c in tiling.centers})
+    """One codeword per tile: the even-Lee-weight member of {c, c + e_1}, sorted.
+
+    The rule of lee.even_weight_member, applied column by column: the
+    first coordinate gains the parity of the coordinate sum.  Distinct
+    centers can bump onto one word, so equal neighbours of the sorted
+    words are dropped.
+    """
+    centers = tiling.centers
+    if not centers:
+        return []
+    first, *rest = zip(*centers)
+    bump = map(and_, map(sum, centers), repeat(1))
+    words = sorted(zip(map(add, first, bump), *rest))
+    return list(map(itemgetter(0), groupby(words)))

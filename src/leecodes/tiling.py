@@ -7,8 +7,9 @@ of phi (the only one in the package, dense or sparse), its inverse on
 a tile (the bijection check), the proof that given rows are a basis of
 ker(phi), an exact kernel-basis extraction, the kernel points of a box
 by back substitution on that basis, the tiling period, a finite-window
-exact-cover oracle, and the exhaustive search over groups and image
-assignments.
+exact-cover oracle on big-integer bitsets (one shift per tile member
+over the whole padded window), and the exhaustive search over groups
+and image assignments.
 
 phi is evaluated in one pass over the word for any G = Z_t1 x ... x Z_ts.
 The image of e_i is packed into one integer with coordinate j at bit
@@ -25,9 +26,9 @@ cannot overflow into another.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 from math import lcm, prod
-from operator import mod, mul, sub
+from operator import add, floordiv, itemgetter, mod, mul, not_, or_, sub
 
 from .errors import (
     ConstructionError,
@@ -49,18 +50,15 @@ from .lee import nonzeros
 class Homomorphism:
     """Images of e_1..e_n in G; half_image, when set, is the image of (1/2)e_1.
 
-    columns holds, per cyclic factor t of G, the pair (t, image
-    coordinates in that factor).  packed holds, per e_i, its image
-    coordinates packed into one integer with coordinate j at bit offset
-    j * width, and exponent is the exponent L of G; see the module
-    docstring for why width suffices.  None of them is part of ==, hash
-    or repr.
+    packed holds, per e_i, its image coordinates packed into one
+    integer with coordinate j at bit offset j * width, and exponent is
+    the exponent L of G; see the module docstring for why width
+    suffices.  None of them is part of ==, hash or repr.
     """
 
     group: FiniteAbelianGroup
     images: tuple
     half_image: tuple | None = None
-    columns: tuple = field(init=False, repr=False, compare=False)
     packed: tuple = field(init=False, repr=False, compare=False)
     width: int = field(init=False, repr=False, compare=False)
     exponent: int = field(init=False, repr=False, compare=False)
@@ -78,9 +76,6 @@ class Homomorphism:
             if self.group.add(h, h) != self.images[0]:
                 raise StructuralError("half image does not double to the e_1 image")
         factors = self.group.factors
-        object.__setattr__(self, "columns", tuple(
-            (t, tuple(g[j] for g in self.images)) for j, t in enumerate(factors)
-        ))
         L = lcm(*factors)
         w = (self.n * (L - 1) * (max(factors, default=1) - 1)).bit_length() + 1
         object.__setattr__(self, "exponent", L)
@@ -400,54 +395,108 @@ def kernel_points_in_box(hom, bound):
     return out
 
 
+def _bitset(indices, size):
+    """(the integer with bit i set for every i in indices, how many indices).
+
+    The indices must lie in 0..size-1; the integer is built in a
+    bytearray, so the cost is one small step per index and one pass
+    over size / 8 bytes.
+    """
+    buf = bytearray((size + 7) >> 3)
+    count = 0
+    for count, i in enumerate(indices, 1):
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little"), count
+
+
+def _touching(cols, count, low, high, strides, R):
+    """Box indices of c + (m_1, ..., m_n), lazily, for the centers that can touch.
+
+    cols are the count centers as columns; see exact_cover.  A center
+    can touch the window iff lo <= c_i <= hi, lo = -R - M_i and hi = R -
+    m_i, on every axis, and (c_i - lo) // (hi - lo + 1) is 0 exactly
+    there, so the OR of those quotients is 0 exactly for the touching
+    centers; only the columns with a value out of range are tested.
+    """
+    # index of c + m: sum of (c_i + m_i + R + s_i) * stride_i
+    idx = repeat(sum((R + M) * st for M, st in zip(high, strides)), count)
+    away = None
+    for col, m, M, st in zip(cols, low, high, strides):
+        idx = map(add, idx, map(mul, col, repeat(st)))
+        lo, hi = -R - M, R - m
+        if min(col, default=lo) < lo or max(col, default=hi) > hi:
+            q = map(floordiv, map(sub, col, repeat(lo)), repeat(hi - lo + 1))
+            away = q if away is None else map(or_, away, q)
+    return idx if away is None else compress(idx, map(not_, away))
+
+
+def _repeat(mask, count, step):
+    """OR of mask << k * step for k in 0..count-1, in O(log count) big-int ops."""
+    out = 0
+    done = 0  # copies already in out
+    block = mask  # OR of the first `width` copies
+    width = 1
+    while count:
+        if count & 1:
+            out |= block << done * step
+            done += width
+        count >>= 1
+        if count:
+            block |= block << width * step
+            width *= 2
+    return out
+
+
 def exact_cover(centers, tile, R):
     """Exact-cover oracle: every point of [-R,R]^n in exactly one translate c + tile.
 
-    Window points are marked in a bytearray indexed in mixed radix 2R+1,
-    so index(c + v) = index(c) + offset(v).  The members of c + tile
-    inside the window are found once per center, as the AND over the
-    axes of the bitmasks of the members with v_i >= -R - c_i and with
-    v_i <= R - c_i.
+    With m_i and M_i the least and greatest v_i over the tile and s_i =
+    M_i - m_i, a translate c + tile meets the window only if -R - M_i
+    <= c_i <= R - m_i on every axis, and then all of it lies in the
+    padded box [-R - s_i, R + s_i]^n.  The points of that box are bits
+    of one integer in mixed radix, so the window is a bit mask and the
+    touching centers, stored at the index of c + (m_1, ..., m_n), are
+    another; the member v of every translate is then one shift of the
+    centers by the offset of v - m >= 0.  A center given twice goes
+    into a second bitset too, and is an overlap only if its translate
+    meets the window.  centers and tile are sequences, each read more
+    than once.  SizeError for an empty tile, DimensionError for tile
+    words of mixed length or a center whose length is not theirs.
     """
+    if not tile:
+        raise SizeError("tile must be nonempty")
     n = len(tile[0])
+    if any(len(v) != n for v in tile):
+        raise DimensionError("tile words are not all of one length")
+    if not set(map(len, centers)) <= {n}:
+        raise DimensionError(f"a center's length is not the tile's n = {n}")
     if R < 0:
         return False
-    side = 2 * R + 1
-    strides = [side ** i for i in range(n)]
-    offsets = [sum(map(mul, v, strides)) for v in tile]
-    full = (1 << len(tile)) - 1
-    # per axis: (lowest v_i, highest v_i, ge, le), where ge[a - lowest]
-    # and le[a - lowest] are the members with v_i >= a and with v_i <= a
-    axes = []
-    for col in zip(*tile):
-        m, M = min(col), max(col)
-        ge = [sum(1 << k for k, x in enumerate(col) if x >= a) for a in range(m, M + 1)]
-        le = [sum(1 << k for k, x in enumerate(col) if x <= a) for a in range(m, M + 1)]
-        axes.append((m, M, ge, le))
-    cover = bytearray(side ** n)
-    for c in centers:
-        mask = full
-        base = 0
-        for (m, M, ge, le), x, stride in zip(axes, c, strides):
-            a = -R - x
-            b = R - x
-            if a > M or b < m:
-                break
-            if a > m:
-                mask &= ge[a - m]
-            if b < M:
-                mask &= le[b - m]
-            base += (x + R) * stride
-        else:
-            inside = offsets
-            if mask != full:
-                inside = [off for k, off in enumerate(offsets) if mask >> k & 1]
-            for off in inside:
-                i = base + off
-                if cover[i]:
-                    return False
-                cover[i] = 1
-    return 0 not in cover
+    low = [min(col) for col in zip(*tile)]
+    high = [max(col) for col in zip(*tile)]
+    strides = []
+    size = 1
+    win = 1
+    for m, M in zip(low, high):
+        strides.append(size)
+        win = _repeat(win, 2 * R + 1, size) << (M - m) * size
+        size *= 2 * (R + M - m) + 1
+    # one column at a time: zip(*centers) would hold an iterator per center
+    cols = [list(map(itemgetter(i), centers)) for i in range(n)]
+    base, count = _bitset(_touching(cols, len(centers), low, high, strides, R), size)
+    twice = 0
+    if base.bit_count() != count:
+        seen = set()
+        twice, _ = _bitset({i for i in _touching(cols, len(centers), low, high, strides, R)
+                            if i in seen or seen.add(i)}, size)
+    cover = 0
+    for v in tile:
+        off = sum(map(mul, map(sub, v, low), strides))
+        t = base << off & win
+        if cover & t or twice and twice << off & win:
+            return False
+        cover |= t
+    return cover == win
 
 
 def tile_spread(V):

@@ -9,6 +9,7 @@ from leecodes import (
     code_from_window_tiling,
     component_index_n3,
     construct_double_cross_hom,
+    double_sphere,
     half_kernel_basis,
     lee_sphere,
     lee_weight,
@@ -17,16 +18,18 @@ from leecodes import (
     verify_nonregular,
 )
 from leecodes.errors import DomainError, StructuralError, WindowError
-from leecodes.groups import FiniteAbelianGroup
+from leecodes.groups import FiniteAbelianGroup, element_order
+from leecodes.lee import _dense, even_weight_member
 from leecodes.nonregular import (
     K1,
     K2,
     HalfWord,
     double_cross_support,
+    double_cross_support_sparse,
     half_lattice_hom,
     lex_sort,
 )
-from leecodes.tiling import Homomorphism, apply_hom
+from leecodes.tiling import Homomorphism, apply_hom, is_bijection_on
 
 
 def half_kernel_centers(bound):
@@ -45,6 +48,35 @@ def test_double_cross_support_size():
         W = double_cross_support(n)
         assert len(W) == 8 * n
         assert len(set(W)) == 8 * n
+
+
+def dense_verify_nonregular(hom, n):
+    """The reference check: phi bijective on the dense 8n-point W, built
+    from the dense double sphere, and a generator among phi(e_2..e_n)."""
+    W = sorted(w for v in double_sphere(n, 1, 1)
+               for w in ((2 * v[0],) + v[1:], (2 * v[0] + 1,) + v[1:]))
+    G = hom.group
+    if len(W) != G.order or not is_bijection_on(half_lattice_hom(hom), W):
+        return False
+    return any(element_order(g, G) == G.order for g in hom.images[1:])
+
+
+def test_sparse_double_cross_matches_the_dense_reference():
+    for n in range(2, 65):
+        sparse = double_cross_support_sparse(n)
+        assert all(i < j for w in sparse for (i, _), (j, _) in zip(w, w[1:]))
+        assert sorted(_dense(n, w) for w in sparse) == double_cross_support(n)
+        G = FiniteAbelianGroup((8 * n,))
+        # a map of the right group that is not bijective on W, for every n
+        homs = [Homomorphism(G, ((2,),) + tuple((i,) for i in range(2, n + 1)),
+                             half_image=(1,))]
+        if n & (n - 1):
+            hom = construct_double_cross_hom(n)
+            homs.append(hom)
+            homs.append(Homomorphism(G, hom.images[:1] + tuple(
+                (2 * g[0] % (8 * n),) for g in hom.images[1:]), half_image=hom.half_image))
+        for hom in homs:
+            assert verify_nonregular(hom, n) == dense_verify_nonregular(hom, n), n
 
 
 def test_construct_double_cross_hom_n3():
@@ -272,6 +304,20 @@ def test_code_from_window_tiling():
     weight4 = [v for v in lee_sphere(3, 4) if lee_weight(v) == 4]
     assert not any(tuple(map(add, u, v)) in inner for u in inner for v in ball3)
     assert any(tuple(map(add, u, v)) in inner for u in inner for v in weight4)
+
+
+def test_code_from_window_tiling_matches_the_set_rule():
+    for length in range(4):
+        for bits in map("".join, product("01", repeat=length)):
+            low = 6 * length + 6
+            for R in (low, low + 1, low + 5):
+                t = shifted_tiling_n3(bits, R)
+                want = sorted({even_weight_member(c) for c in t.centers})
+                assert code_from_window_tiling(t) == want, (bits, R)
+    # centers that bump onto one word give it once
+    t = ShiftedWindowTiling(R=6, bits="", centers=((0, 0, 1), (1, 0, 1), (2, 0, 0)))
+    assert code_from_window_tiling(t) == [(1, 0, 1), (2, 0, 0)]
+    assert code_from_window_tiling(ShiftedWindowTiling(R=6, bits="", centers=())) == []
 
 
 def test_shifted_tiling_json_roundtrip():

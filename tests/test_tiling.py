@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import product
 from operator import add
 from unittest.mock import patch
@@ -98,10 +99,16 @@ def test_packed_phi_fields_at_their_largest(factors):
 
 
 def test_columns_are_not_part_of_equality():
+    # the packed image columns are derived from images, so outside ==,
+    # hash and repr
     hom = Homomorphism(Z5, ((1,), (2,)))
-    assert hom.columns == ((5, (1, 2)),)
+    assert (hom.packed, hom.width, hom.exponent) == ((1, 2), 7, 5)
     assert hom == CROSS_HOM and hash(hom) == hash(CROSS_HOM)
-    assert "columns" not in repr(hom)
+    compared = {f.name: f.compare for f in dataclasses.fields(Homomorphism)}
+    for name in ("packed", "width", "exponent"):
+        assert not compared[name]
+        assert name not in repr(hom)
+    assert not hasattr(hom, "columns")
 
 
 def test_apply_hom_dimension_check():
@@ -354,6 +361,67 @@ def test_exact_cover():
     assert exact_cover(centers, cross, 3)
     assert not exact_cover([c for c in centers if c != (0, 0)], cross, 3)  # hole
     assert not exact_cover(centers + [(1, 0)], cross, 3)  # overlap
+
+
+def test_exact_cover_input_contract():
+    with pytest.raises(SizeError):
+        exact_cover([(0,)], [], 1)
+    with pytest.raises(DimensionError):  # tile words of mixed length
+        exact_cover([(0, 0)], [(0, 0), (1,)], 1)
+    with pytest.raises(DimensionError):  # 2-D centers, 1-D tile
+        exact_cover([(-1, 5), (0, 7), (1, 9)], [(0,)], 1)
+    with pytest.raises(DimensionError):  # 1-D centers, 2-D tile
+        exact_cover([(x,) for x in range(-1, 2)], [(0, 0)], 1)
+
+
+def test_exact_cover_repeated_center_missing_the_window():
+    # (5, 5) is a kernel point whose cross lies just outside [-4, 4]^2,
+    # though inside the box of centers that can touch it: given twice it
+    # overlaps nothing
+    R = 4
+    cross = lee_sphere(2, 1)
+    centers = kernel_points_in_box(CROSS_HOM, R + 1)
+    assert (5, 5) in centers
+    assert exact_cover(centers + [(5, 5)], cross, R)
+    assert exact_cover_by_set(centers + [(5, 5)], cross, R)
+    assert not exact_cover(centers + [(0, 0)], cross, R)
+
+
+@pytest.mark.parametrize("shift", [(3, 2), (-4, -3)])
+def test_exact_cover_tile_off_the_origin(shift):
+    # every m_i > 0, or every M_i < 0: the translates by l - shift
+    R = 3
+    tile = [tuple(map(add, v, shift)) for v in lee_sphere(2, 1)]
+    assert all(min(col) > 0 for col in zip(*tile)) or all(max(col) < 0 for col in zip(*tile))
+    centers = [tuple(a - b for a, b in zip(l, shift))
+               for l in kernel_points_in_box(CROSS_HOM, R + 8)]
+    assert exact_cover(centers, tile, R)
+    origin = (-shift[0], -shift[1])  # the translate of l = 0
+    assert not exact_cover([c for c in centers if c != origin], tile, R)  # hole
+    assert not exact_cover(centers + [origin], tile, R)  # overlap
+
+
+def test_exact_cover_at_radius_zero():
+    assert exact_cover([(0,)], [(0,)], 0)
+    assert exact_cover([(-3,), (0,), (3,)], [(-1,), (0,), (1,)], 0)
+    assert not exact_cover([(-1,), (0,), (1,)], [(-1,), (0,), (1,)], 0)
+    assert exact_cover([(1, 0)], lee_sphere(2, 1), 0)
+    assert not exact_cover([(1, 1)], lee_sphere(2, 1), 0)
+    assert not exact_cover([(0,)], [(0,)], -1)
+
+
+def test_exact_cover_without_centers():
+    assert not exact_cover([], lee_sphere(2, 1), 0)
+    assert not exact_cover([], lee_sphere(2, 1), 3)
+
+
+def test_exact_cover_center_far_outside_the_padded_box():
+    R = 3
+    cross = lee_sphere(2, 1)
+    centers = kernel_points_in_box(CROSS_HOM, R + 1)
+    for far in [(10 ** 30, 0), (0, -10 ** 30), (R + 2, 0), (-R - 2, -R - 2)]:
+        assert exact_cover(centers + [far, far], cross, R)
+    assert not exact_cover([(10 ** 30, 0)] + centers[1:], cross, R)
 
 
 def test_bijection_iff_window_tiling():
