@@ -20,7 +20,6 @@ from .groups import (
     element_order,
     enumerate_abelian_groups,
     lex_rank,
-    lex_unrank,
 )
 from .lee import (
     double_sphere,

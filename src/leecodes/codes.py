@@ -52,6 +52,12 @@ IDENTITY = "identity"
 # the transversal each anticode kind's codes use
 TRANSVERSAL_OF = {SPHERE: IDENTITY, DOUBLE_SPHERE: EVEN_WEIGHT}
 
+# most anticode points a load inverts: the largest code construct or
+# pl1 emits has |G| = 4 * 3162 = 12648, while the inversion costs time
+# and memory linear in |G|, 0.6 s and 60 MB just below this bound in
+# CPython 3.11 on a 2-vCPU VM
+MAX_ANTICODE_POINTS = 2 ** 17
+
 
 @dataclass(frozen=True)
 class AnticodeSpec:
@@ -88,32 +94,6 @@ class AnticodeSpec:
     @property
     def diameter(self):
         return 2 * self.r if self.kind == SPHERE else 2 * self.r + 1
-
-
-@dataclass(frozen=True)
-class FactorizationProfile:
-    """n = 2^alpha * p_1^a_1 ... p_k^a_k with the odd primes ascending."""
-
-    n: int
-    alpha: int
-    odd_primes: tuple
-    odd_exponents: tuple
-
-    @property
-    def radical_odd(self):
-        return prod(self.odd_primes)
-
-
-def factorization_profile(n):
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    fac = factorize(n)
-    alpha = fac.pop(2, 0)
-    primes = tuple(sorted(fac))
-    exps = tuple(fac[p] for p in primes)
-    assert 2 ** alpha * prod(p ** e for p, e in zip(primes, exps)) == n
-    return FactorizationProfile(n=n, alpha=alpha, odd_primes=primes,
-                                odd_exponents=exps)
 
 
 @dataclass(frozen=True)
@@ -395,7 +375,8 @@ def code_from_dict(d):
     Integer fields must be JSON integers.  The load proves that the
     basis lies in ker(phi) with |det| = |G| exactly, that phi is
     bijective on the anticode, that the transversal is the one of the
-    anticode kind, and that the period divides q.
+    anticode kind, and that the period divides q.  An anticode of more
+    than MAX_ANTICODE_POINTS points is refused before it is enumerated.
     """
     if type(d) is not dict or type(d.get("anticode")) is not dict:
         raise DataFormatError("a code descriptor is a JSON object with an "
@@ -424,6 +405,9 @@ def code_from_dict(d):
                               f"transversal, not {transversal!r}")
     if anticode.size != G.order:
         raise DataFormatError(f"|anticode| = {anticode.size} != |G| = {G.order}")
+    if G.order > MAX_ANTICODE_POINTS:
+        raise DataFormatError(f"|G| = {G.order} is above the {MAX_ANTICODE_POINTS} "
+                              "anticode points a load inverts")
     if q is not None and q % period(hom) != 0:
         raise DataFormatError(f"q = {q} is not a positive multiple of the period "
                               f"{period(hom)}")

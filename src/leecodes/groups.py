@@ -74,9 +74,6 @@ def factorize(m):
 
 def _partitions_desc(k):
     """Partitions of k as tuples with decreasing parts, largest part first."""
-    if k == 0:
-        yield ()
-        return
 
     def rec(remaining, cap):
         if remaining == 0:
@@ -178,14 +175,3 @@ def lex_rank(a, G):
         acc = acc * t + x
     return acc + 1
 
-
-def lex_unrank(rank, G):
-    """Inverse of lex_rank."""
-    if not 1 <= rank <= G.order:
-        raise DomainError(f"rank {rank} out of range 1..{G.order}")
-    acc = rank - 1
-    digits = []
-    for t in reversed(G.factors):
-        acc, x = divmod(acc, t)
-        digits.append(x)
-    return tuple(reversed(digits))

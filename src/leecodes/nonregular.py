@@ -19,7 +19,7 @@ from operator import add, and_, itemgetter
 
 from .errors import DomainError, StructuralError, WindowError
 from .groups import FiniteAbelianGroup, element_order
-from .lee import _dense, double_sphere, double_sphere_sparse
+from .lee import double_sphere, double_sphere_sparse
 from .tiling import (Homomorphism, KernelBasis, _kernel_points, exact_cover,
                      is_bijection_on, lattice_basis)
 
@@ -27,33 +27,9 @@ K1 = "K1"
 K2 = "K2"
 
 
-@dataclass(frozen=True)
-class HalfWord:
-    """Point of the half lattice: first coordinate doubled_first / 2."""
-
-    doubled_first: int
-    rest: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "rest", tuple(self.rest))
-
-    @property
-    def doubled(self):
-        """The point as an all-integer tuple (2*x_1, x_2, ..., x_n)."""
-        return (self.doubled_first,) + self.rest
-
-
-def _split_power_of_two(n):
-    t = 0
-    m = n
-    while m % 2 == 0:
-        t += 1
-        m //= 2
-    return t, (m - 1) // 2  # n = 2^t * (2k+1)
-
-
 def double_cross_support_sparse(n):
-    """The words of double_cross_support(n) in sparse form, unordered.
+    """The 8n half-lattice points of W = V | (V + (1/2)e_1), doubled and
+    sparse, unordered.
 
     A sparse word of V = double_sphere(n, 1, 1) whose first pair is
     (0, x) gives the doubled words with first pair (0, 2x) and
@@ -74,11 +50,6 @@ def double_cross_support_sparse(n):
     return out
 
 
-def double_cross_support(n):
-    """The 8n half-lattice points of W = V | (V + (1/2)e_1), doubled form, sorted."""
-    return sorted(_dense(n, w) for w in double_cross_support_sparse(n))
-
-
 def construct_double_cross_hom(n):
     """The Z_{8n} homomorphism bijective on the 8n-point double-cross W.
 
@@ -86,19 +57,19 @@ def construct_double_cross_hom(n):
     """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
-    t, k = _split_power_of_two(n)
-    if k == 0:
+    low = n & -n  # 2^t
+    odd = n // low  # 2k + 1
+    if odd == 1:
         raise DomainError(f"n = {n} is a power of 2; no such tiling is known")
     mod = 8 * n
     G = FiniteAbelianGroup((mod,))
-    odd = 2 * k + 1
     images = [None] * n
     images[0] = ((2 * odd) % mod,)
-    for i in range(2, 2 ** t + 1):
+    for i in range(2, low + 1):
         images[i - 1] = (((4 * i - 2) * odd) % mod,)
-    for j in range(1, k + 1):
-        c = 2 ** t + (j - 1) * 2 ** (t + 1)
-        for i in range(1, 2 ** (t + 1) + 1):
+    for j in range(1, odd // 2 + 1):
+        c = low + (j - 1) * 2 * low
+        for i in range(1, 2 * low + 1):
             images[i + c - 1] = ((j + 4 * (i - 1) * odd) % mod,)
     assert all(g is not None for g in images)
     return Homomorphism(G, tuple(images), half_image=(odd % mod,))
@@ -133,19 +104,14 @@ def verify_nonregular(hom, n):
 def half_kernel_basis():
     """Kernel basis of the n=3 double-cross homomorphism inside M.
 
-    Rows: -(1/2)e_1 + 3e_2, 24e_2, 13e_2 - e_3.  In doubled-first
-    coordinates they are proved a kernel basis with |det| = |G| = 24,
-    which is 12 in cube volume: a KernelBasis of HalfWord rows and
+    Rows: -(1/2)e_1 + 3e_2, 24e_2, 13e_2 - e_3, in doubled-first
+    coordinates.  They are proved a kernel basis with |det| = |G| = 24,
+    which is 12 in cube volume: a KernelBasis of the doubled rows and
     det_abs 12.
     """
     half = half_lattice_hom(construct_double_cross_hom(3))
-    rows = (
-        HalfWord(-1, (3, 0)),
-        HalfWord(0, (24, 0)),
-        HalfWord(0, (13, -1)),
-    )
-    det2 = lattice_basis(half, [hw.doubled for hw in rows]).det_abs
-    return KernelBasis(rows=rows, det_abs=det2 // 2)
+    kb = lattice_basis(half, ((-1, 3, 0), (0, 24, 0), (0, 13, -1)))
+    return KernelBasis(rows=kb.rows, det_abs=kb.det_abs // 2)
 
 
 def component_index_n3(center):
@@ -192,8 +158,9 @@ def shifted_tiling_n3(bits, R):
 
     Component m is shifted by +(1/2)e_1 when 1 <= m <= len(bits) and
     bits[m-1] == '1', by -(1/2)e_1 otherwise (the m <= 0 default).  All
-    resulting centers are integral; returned centers are those whose
-    tile can touch [-R,R]^3.
+    resulting centers are integral.  Returned are all of them in the
+    box [-R-2, R+2]^3: a superset of the centers whose tile can touch
+    [-R,R]^3, which exact_cover filters.
     """
     if any(b not in "01" for b in bits):
         raise DomainError(f"bits must be a 0/1 string, got {bits!r}")

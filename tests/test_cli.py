@@ -3,14 +3,16 @@ import json
 import os
 import subprocess
 import sys
-from math import prod
+import time
+from math import isqrt, prod
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from leecodes import cli, code_to_json, construct_dpl4, construct_pl1, restrict_to_zq
+from leecodes import (cli, code_from_json, code_to_json, codes, construct_dpl4,
+                      construct_pl1, restrict_to_zq)
 from leecodes.cli import (
     EXIT_BUDGET,
     EXIT_DATA,
@@ -182,6 +184,42 @@ def test_data_errors(tmp_path):
     assert run(["verify", "--code", str(bad), "--window", "5"]) == EXIT_DATA
     assert run(["verify", "--code", str(tmp_path / "missing.json"),
                 "--window", "5"]) == EXIT_DATA
+
+
+def pl2_descriptor(r):
+    """PL(2, r): the radius-r Lee sphere of Z^2 tiles through Z_m, m = 2r^2 + 2r + 1."""
+    m = 2 * r * r + 2 * r + 1
+    return {"n": 2, "anticode": {"kind": "sphere", "r": r, "axis": 1},
+            "group": [m], "images": [[1], [2 * r + 1]], "transversal": "identity",
+            "basis": [[m, 0], [-(2 * r + 1), 1]]}
+
+
+def test_load_bounds_the_anticode_before_inverting_it(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "pl2.json"
+    path.write_text(json.dumps(pl2_descriptor(3000)))  # |G| = 18006001
+    for argv in (["decode", "--word", "1,2"], ["verify", "--window", "5"],
+                 ["tile", "--window", "5"]):
+        t0 = time.perf_counter()
+        assert run(argv + ["--code", str(path)]) == EXIT_DATA, argv
+        assert time.perf_counter() - t0 < 1.0, argv
+        assert "18006001" in capsys.readouterr().err
+    # the bound is inclusive: PL(2, 30) has |G| = 1861
+    path.write_text(json.dumps(pl2_descriptor(30)))
+    monkeypatch.setattr(codes, "MAX_ANTICODE_POINTS", 1861)
+    assert run(["decode", "--code", str(path), "--word", "1,2"]) == EXIT_OK
+    monkeypatch.setattr(codes, "MAX_ANTICODE_POINTS", 1860)
+    assert run(["decode", "--code", str(path), "--word", "1,2"]) == EXIT_DATA
+
+
+def test_anticode_bound_admits_every_emitted_and_stored_code():
+    # construct --n N --q 4 emits the largest group, |G| = 4N, at the
+    # largest N the basis bound lets through
+    n = isqrt(cli.MAX_WINDOW_POINTS)
+    assert 4 * n <= codes.MAX_ANTICODE_POINTS
+    stored = sorted(Path(SRC).parent.glob("perfbench/data/*.json"))
+    assert len(stored) == 5
+    for path in stored:
+        assert code_from_json(path.read_text()).hom.group.order <= codes.MAX_ANTICODE_POINTS
 
 
 def test_python_m_cli_runs_main(tmp_path):

@@ -1,8 +1,10 @@
 import json
 from dataclasses import replace
 from itertools import product
+from math import prod
 
 import pytest
+from sympy import factorint
 
 from leecodes import (
     code_from_json,
@@ -24,7 +26,6 @@ from leecodes.codes import (
     EVEN_WEIGHT,
     IDENTITY,
     AnticodeSpec,
-    factorization_profile,
     _squarefree_chain,
 )
 from leecodes.errors import (
@@ -39,15 +40,16 @@ from leecodes.tiling import apply_hom, det_bareiss, kernel_points_in_box
 def admissible_oracle(n, q):
     """Closed-form re-derivation: q = 2^b * prod p_i^{b_i} with
     2 <= b <= alpha+2 and 1 <= b_i <= alpha_i."""
-    prof = factorization_profile(n)
+    fac = factorint(n)
+    alpha = fac.pop(2, 0)
     m = q
     b = 0
     while m % 2 == 0:
         b += 1
         m //= 2
-    if not 2 <= b <= prof.alpha + 2:
+    if not 2 <= b <= alpha + 2:
         return False
-    for p, a in zip(prof.odd_primes, prof.odd_exponents):
+    for p, a in fac.items():
         bi = 0
         while m % p == 0:
             bi += 1
@@ -73,7 +75,7 @@ def test_admissibility_truth_table():
 
 def test_minimal_admissible_q_is_four_times_odd_radical():
     for n in (3, 5, 6, 9, 10, 12):
-        p = factorization_profile(n).radical_odd
+        p = prod(p for p in factorint(n) if p != 2)
         qs = [q for q in range(2, 8 * n + 1) if is_admissible_q(n, q)]
         assert qs[0] == 4 * p
 

@@ -23,8 +23,6 @@ from leecodes.lee import _dense, even_weight_member
 from leecodes.nonregular import (
     K1,
     K2,
-    HalfWord,
-    double_cross_support,
     double_cross_support_sparse,
     half_lattice_hom,
     lex_sort,
@@ -43,18 +41,24 @@ def half_kernel_centers(bound):
     return out
 
 
+def dense_double_cross(n):
+    """The reference W = V | (V + (1/2)e_1) in doubled form, sorted, built
+    from the dense double sphere V."""
+    return sorted(w for v in double_sphere(n, 1, 1)
+                  for w in ((2 * v[0],) + v[1:], (2 * v[0] + 1,) + v[1:]))
+
+
 def test_double_cross_support_size():
     for n in (2, 3, 5, 6):
-        W = double_cross_support(n)
-        assert len(W) == 8 * n
-        assert len(set(W)) == 8 * n
+        sparse = double_cross_support_sparse(n)
+        assert len(sparse) == 8 * n
+        assert len({_dense(n, w) for w in sparse}) == 8 * n
 
 
 def dense_verify_nonregular(hom, n):
-    """The reference check: phi bijective on the dense 8n-point W, built
-    from the dense double sphere, and a generator among phi(e_2..e_n)."""
-    W = sorted(w for v in double_sphere(n, 1, 1)
-               for w in ((2 * v[0],) + v[1:], (2 * v[0] + 1,) + v[1:]))
+    """The reference check: phi bijective on the dense 8n-point W and a
+    generator among phi(e_2..e_n)."""
+    W = dense_double_cross(n)
     G = hom.group
     if len(W) != G.order or not is_bijection_on(half_lattice_hom(hom), W):
         return False
@@ -65,7 +69,7 @@ def test_sparse_double_cross_matches_the_dense_reference():
     for n in range(2, 65):
         sparse = double_cross_support_sparse(n)
         assert all(i < j for w in sparse for (i, _), (j, _) in zip(w, w[1:]))
-        assert sorted(_dense(n, w) for w in sparse) == double_cross_support(n)
+        assert sorted(_dense(n, w) for w in sparse) == dense_double_cross(n)
         G = FiniteAbelianGroup((8 * n,))
         # a map of the right group that is not bijective on W, for every n
         homs = [Homomorphism(G, ((2,),) + tuple((i,) for i in range(2, n + 1)),
@@ -127,16 +131,16 @@ def test_verify_nonregular_wrong_group_order_is_false():
 def test_half_kernel_basis():
     kb = half_kernel_basis()
     assert kb.det_abs == 12
-    assert [hw.doubled for hw in kb.rows] == [(-1, 3, 0), (0, 24, 0), (0, 13, -1)]
+    assert kb.rows == ((-1, 3, 0), (0, 24, 0), (0, 13, -1))
     half = half_lattice_hom(construct_double_cross_hom(3))
-    for hw in kb.rows:
-        assert apply_hom(half, hw.doubled) == (0,)
+    for row in kb.rows:
+        assert apply_hom(half, row) == (0,)
 
 
 def test_basis_spans_kernel_in_box():
     # every brute-force kernel point is an integer combination of the rows
     kb = half_kernel_basis()
-    rows = [hw.doubled for hw in kb.rows]
+    rows = kb.rows
     for p in half_kernel_centers(6):
         # solve p = a*rows[0] + b*rows[1] + c*rows[2] over Z
         a = -p[0]
@@ -269,6 +273,20 @@ def test_shifted_tiling_equals_congruence_loop(bits):
         assert shifted_tiling_n3(bits, R).centers == want, (bits, R)
 
 
+def test_shifted_tiling_keeps_the_whole_padded_box():
+    # every shifted center in [-R - 2, R + 2]^3, a superset of the 5070
+    # whose tile double_sphere(3, 1, 1) can touch [-R, R]^3
+    R = 18
+    t = shifted_tiling_n3("01", R)
+    assert len(t.centers) == 5764
+    assert max(max(map(abs, c)) for c in t.centers) == R + 2
+    low, high = (-1, -1, -1), (2, 1, 1)
+    touching = [c for c in t.centers
+                if all(-R - M <= x <= R - m for x, m, M in zip(c, low, high))]
+    assert len(touching) == 5070
+    assert verify_cover(ShiftedWindowTiling(R=R, bits="01", centers=tuple(touching)))
+
+
 def test_lex_sort_equals_sorted_on_shuffled_centers():
     rng = random.Random(11)
     centers = list(shifted_tiling_n3("101", 24).centers)
@@ -326,7 +344,3 @@ def test_shifted_tiling_json_roundtrip():
     assert d["R"] == 20 and d["bits"] == "01"
     assert tuple(tuple(c) for c in d["centers"]) == t.centers
 
-
-def test_half_word_doubled():
-    hw = HalfWord(-1, (3, 0))
-    assert hw.doubled == (-1, 3, 0)
