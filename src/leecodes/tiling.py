@@ -42,6 +42,7 @@ from .groups import (
     aut_orbit_representatives,
     element_order,
     enumerate_abelian_groups,
+    lex_rank,
 )
 from .lee import nonzeros
 
@@ -226,15 +227,17 @@ def det_bareiss(mat):
     return sign * A[-1][-1]
 
 
-def abs_det(rows):
+def abs_det(rows, max_core=None):
     """Exact |det| of a square integer matrix, sparse rows peeled first.
 
     A row or column with exactly one nonzero a_rc left is an exact
     Laplace step: |det| gains |a_rc| and row r and column c go.  An
     emptied row or column gives 0; whatever core is left goes to
-    det_bareiss.  Bases that are triangular up to a permutation of rows
-    and columns (the DPL(n,4) basis, the HNF of kernel_basis) peel
-    completely, in time linear in their entries.
+    det_bareiss, which costs time cubic in its rows: SizeError, before
+    any elimination, when the core has more than max_core rows.  Bases
+    that are triangular up to a permutation of rows and columns (the
+    DPL(n,4) basis, the HNF of kernel_basis) peel completely, in time
+    linear in their entries.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -281,6 +284,9 @@ def abs_det(rows):
                 if len(col_nz[j]) == 1:
                     todo.append((False, j))
     if live_rows:
+        if max_core is not None and len(live_rows) > max_core:
+            raise SizeError(f"the determinant leaves a dense {len(live_rows)} x "
+                            f"{len(live_rows)} core, above {max_core} rows")
         cols = sorted(live_cols)
         det *= abs(det_bareiss([[row_nz[i].get(j, 0) for j in cols]
                                 for i in sorted(live_rows)]))
@@ -322,16 +328,17 @@ def _check_in_kernel(hom, rows):
             raise ConstructionError(f"basis row {row} not in kernel")
 
 
-def lattice_basis(hom, rows):
+def lattice_basis(hom, rows, max_core=None):
     """KernelBasis of n x n integer rows; ConstructionError unless they lie
     in ker(phi) with |det| = |G| exactly, which for phi onto G (ker(phi)
-    then has index |G| in Z^n) proves them a basis of ker(phi).
+    then has index |G| in Z^n) proves them a basis of ker(phi).  max_core
+    bounds the dense core of abs_det.
     """
     rows = tuple(map(tuple, rows))
     if len(rows) != hom.n or any(len(row) != hom.n for row in rows):
         raise DimensionError(f"basis is not {hom.n} x {hom.n}")
     _check_in_kernel(hom, rows)
-    det = abs_det(rows)
+    det = abs_det(rows, max_core)
     if det != hom.group.order:
         raise ConstructionError(f"|det(basis)| = {det} != |G| = {hom.group.order}")
     return KernelBasis(rows=rows, det_abs=det)
@@ -532,6 +539,8 @@ BUDGET_EXCEEDED = "budget_exceeded"
 DEFAULT_BUDGET = 10 ** 7
 # most failed full assignments a SearchResult keeps
 MAX_FAILURES = 1024
+# most memoised steps one group's search keeps before it clears them
+SEARCH_MEMO_CAP = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -582,45 +591,86 @@ def _search_group(G, start, coeffs, budget, counts, failures):
     coordinate are assigned: depth d checks the words whose last nonzero
     coordinate is d against the residues already fixed, and carries the
     partial residues of the later words down one level.
+
+    Elements are their indices lex_rank - 1, so the identity is 0, a
+    residue is an int and the residues fixed so far are one bitmask.
+    step(r, x, g) is the index of r + x * g, memoised in one dict keyed
+    by ((x mod L) * |G| + g) * |G| + r for the exponent L of G: the key
+    is exact because L * g = 0, so x * g depends on x mod L alone.  A
+    miss sums ((r_j + x * g_j) mod t_j) * P_j over the digits, P_j the
+    index of the j-th unit element: lex_rank's Horner sum, expanded.
+    The dict grows with the steps the search takes, not with |G|^2, and
+    is cleared at SEARCH_MEMO_CAP entries, so memory stays bounded
+    however long the budget lets a search run.
     """
     factors = G.factors
+    N = G.order
+    NN = N * N
+    L = lcm(*factors)
     n = len(coeffs)
     images = [None] * n
     elems = list(G.elements())
-    first = aut_orbit_representatives(G)
+    first = [lex_rank(g, G) - 1 for g in aut_orbit_representatives(G)]
+    every = range(N)
+    # the index of e is the sum of e_j * P_j
+    places = [lex_rank(G.identity[:j] + (1,) + G.identity[j + 1:], G) - 1
+              for j in range(len(factors))]
+    memo = {}
+    get = memo.get
+
+    def step(r, x, g):
+        """Index of r + x * g for 0 <= x < L, computed once and memoised."""
+        if len(memo) >= SEARCH_MEMO_CAP:
+            memo.clear()
+        s = 0
+        for a, b, t, p in zip(elems[r], elems[g], factors, places):
+            s += (a + x * b) % t * p
+        memo[(x * N + g) * N + r] = s
+        return s
+
+    # (x mod L) * |G|^2 per coefficient x; a residue r adds r and an
+    # image g adds g * |G|, giving the memo key of r + x * g
+    cols = [[x % L * NN for x in coeff] for coeff in coeffs]
 
     def dfs(depth, seen, acc):
         k = start[depth + 1] - start[depth]
-        coeff = coeffs[depth]
-        for g in first if depth == 0 else elems:
+        keys = list(map(add, acc, cols[depth]))
+        fixed, later = keys[:k], keys[k:]
+        for g in first if depth == 0 else every:
             counts[0] += 1
             if counts[0] > budget:
                 return BUDGET_EXCEEDED
             images[depth] = g
-            fresh = set()
+            gN = g * N
+            mask = seen
             ok = True
-            for r, x in zip(acc[:k], coeff):
-                r = tuple((a + x * b) % t for a, b, t in zip(r, g, factors))
-                if r in seen or r in fresh:
+            for key in fixed:
+                s = get(key + gN)
+                if s is None:
+                    s = step(key % N, key // NN, g)
+                bit = 1 << s
+                if mask & bit:
                     ok = False
                     break
-                fresh.add(r)
+                mask |= bit
             if depth + 1 == n:
                 counts[1] += 1
                 if ok:
-                    return Homomorphism(G, tuple(images))
+                    return Homomorphism(G, tuple(map(elems.__getitem__, images)))
                 if len(failures) < MAX_FAILURES:
-                    failures.append((factors, tuple(images)))
+                    failures.append((factors, tuple(map(elems.__getitem__, images))))
             elif ok:
-                res = dfs(depth + 1, seen | fresh, [
-                    tuple((a + x * b) % t for a, b, t in zip(r, g, factors)) if x else r
-                    for r, x in zip(acc[k:], coeff[k:])
-                ])
+                # a key below |G|^2 has x mod L = 0 and is the residue itself
+                nxt = [key if key < NN else get(key + gN, -1) for key in later]
+                if -1 in nxt:
+                    nxt = [step(key % N, key // NN, g) if s < 0 else s
+                           for s, key in zip(nxt, later)]
+                res = dfs(depth + 1, mask, nxt)
                 if res is not None:
                     return res
         return None
 
-    return dfs(0, {G.identity}, [G.identity] * len(coeffs[0]))
+    return dfs(0, 1, [0] * len(coeffs[0]))
 
 
 def search_lattice_tiling(V, budget=DEFAULT_BUDGET):

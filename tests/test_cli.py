@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from leecodes import (cli, code_from_json, code_to_json, codes, construct_dpl4,
-                      construct_pl1, restrict_to_zq)
+                      construct_pl1, is_admissible_q, restrict_to_zq)
 from leecodes.cli import (
     EXIT_BUDGET,
     EXIT_DATA,
@@ -22,7 +23,9 @@ from leecodes.cli import (
     MAX_GROUP_ORDER,
     run,
 )
-from leecodes.lee import double_sphere, format_words, lee_sphere
+from leecodes.errors import DataFormatError
+from leecodes.lee import double_sphere, format_words, lee_sphere, nonzeros
+from leecodes.tiling import abs_det
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -220,6 +223,53 @@ def test_anticode_bound_admits_every_emitted_and_stored_code():
     assert len(stored) == 5
     for path in stored:
         assert code_from_json(path.read_text()).hom.group.order <= codes.MAX_ANTICODE_POINTS
+
+
+def dense_core_descriptor(n):
+    """DPL(n,4) with its basis times a unit upper-triangular +-1 matrix:
+    the same lattice in dense rows, which the sparse peel of abs_det
+    cannot take apart."""
+    d = json.loads(code_to_json(construct_dpl4(n, 4)))
+    sparse = [nonzeros(row) for row in d["basis"]]
+    rng = random.Random(n)
+    for i, row in enumerate(d["basis"]):
+        for j in range(i + 1, n):
+            u = rng.choice((-1, 1))
+            for c, x in sparse[j]:
+                row[c] += u * x
+    return d
+
+
+def test_load_bounds_the_dense_core_of_the_determinant(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(dense_core_descriptor(256)))
+    t0 = time.perf_counter()
+    assert run(["decode", "--code", str(path), "--word", ",".join(["1"] * 256)]) == EXIT_DATA
+    assert time.perf_counter() - t0 < 1.0
+    assert f"above {codes.MAX_BAREISS_CORE} rows" in capsys.readouterr().err
+    # below the bound the same kind of basis loads, as the same code
+    d = dense_core_descriptor(16)
+    code = code_from_json(json.dumps(d))
+    assert code.basis.rows == tuple(map(tuple, d["basis"]))
+    assert code.basis.det_abs == 64
+    assert code.hom == construct_dpl4(16, 4).hom
+    monkeypatch.setattr(codes, "MAX_BAREISS_CORE", 0)
+    with pytest.raises(DataFormatError):
+        code_from_json(json.dumps(d))
+
+
+def test_bareiss_bound_admits_every_emitted_and_stored_code():
+    # each of them peels completely, so a bound of 0 rows admits it
+    emitted = [construct_pl1(n) for n in range(1, 41)]
+    emitted += [construct_dpl4(n, q) for n in range(1, 41) for q in range(4, 4 * n + 1, 4)
+                if is_admissible_q(n, q)]
+    stored = sorted(Path(SRC).parent.glob("perfbench/data/*.json"))
+    assert len(stored) == 5
+    texts = [code_to_json(code) for code in emitted] + [p.read_text() for p in stored]
+    for text in texts:
+        code = code_from_json(text)
+        assert json.loads(code_to_json(code)) == json.loads(text)
+        assert abs_det(code.basis.rows, max_core=0) == code.hom.group.order
 
 
 def test_python_m_cli_runs_main(tmp_path):

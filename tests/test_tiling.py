@@ -26,6 +26,7 @@ from leecodes.errors import (
     SizeError,
     StructuralError,
 )
+from leecodes.groups import aut_orbit_representatives
 from leecodes.lee import lee_sphere_sparse, nonzeros
 from leecodes.tiling import (
     BUDGET_EXCEEDED,
@@ -250,6 +251,22 @@ def test_abs_det_peels_stored_bases_completely(monkeypatch):
     monkeypatch.setattr(tiling, "det_bareiss", no_core)
     for basis, det in zip(bases, expected):
         assert abs_det(basis.rows) == det == basis.det_abs
+
+
+def test_abs_det_bounds_its_dense_core(monkeypatch):
+    dense = [(2, 1, 1), (1, 2, 1), (1, 1, 2)]  # no row or column peels
+    assert abs_det(dense, max_core=3) == abs_det(dense) == 4
+    calls = []
+    monkeypatch.setattr(tiling, "det_bareiss", calls.append)
+    with pytest.raises(SizeError):
+        abs_det(dense, max_core=2)
+    assert calls == []  # refused before any elimination
+    # a peel that leaves no core passes any bound
+    assert abs_det([(1, 5, 0), (0, 2, 0), (0, 0, 3)], max_core=0) == 6
+    hom = Homomorphism(FiniteAbelianGroup((4,)), ((1,), (1,), (1,)))
+    rows = [(2, 1, 1), (1, 2, 1), (1, 1, 2)]
+    with pytest.raises(SizeError):
+        lattice_basis(hom, rows, max_core=2)
 
 
 ENTRY = st.integers(-9, 9)
@@ -753,3 +770,100 @@ def test_search_orbit_cut_matches_unpruned_search(V):
     assert (res.status, res.groups_tried, res.hom) == (ref.status, ref.groups_tried, ref.hom)
     assert res.nodes <= ref.nodes
     assert res.assignments_tried <= ref.assignments_tried
+
+
+def _tuple_search_group(G, start, coeffs, budget, counts, failures):
+    """tiling._search_group on element tuples, residues as tuples and the
+    fixed residues as a set: the search before element indices."""
+    factors = G.factors
+    n = len(coeffs)
+    images = [None] * n
+    elems = list(G.elements())
+    first = aut_orbit_representatives(G)
+
+    def dfs(depth, seen, acc):
+        k = start[depth + 1] - start[depth]
+        coeff = coeffs[depth]
+        for g in first if depth == 0 else elems:
+            counts[0] += 1
+            if counts[0] > budget:
+                return BUDGET_EXCEEDED
+            images[depth] = g
+            fresh = set()
+            ok = True
+            for r, x in zip(acc[:k], coeff):
+                r = tuple((a + x * b) % t for a, b, t in zip(r, g, factors))
+                if r in seen or r in fresh:
+                    ok = False
+                    break
+                fresh.add(r)
+            if depth + 1 == n:
+                counts[1] += 1
+                if ok:
+                    return Homomorphism(G, tuple(images))
+                if len(failures) < tiling.MAX_FAILURES:
+                    failures.append((factors, tuple(images)))
+            elif ok:
+                res = dfs(depth + 1, seen | fresh, [
+                    tuple((a + x * b) % t for a, b, t in zip(r, g, factors)) if x else r
+                    for r, x in zip(acc[k:], coeff[k:])
+                ])
+                if res is not None:
+                    return res
+        return None
+
+    return dfs(0, {G.identity}, [G.identity] * len(coeffs[0]))
+
+
+def _search_fields(res):
+    return (res.status, res.hom, res.groups_tried, res.assignments_tried, res.nodes,
+            res.failures)
+
+
+def _tuple_search(V, budget=tiling.DEFAULT_BUDGET):
+    with patch.object(tiling, "_search_group", _tuple_search_group):
+        return search_lattice_tiling(V, budget)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.sets(
+    st.tuples(*[st.integers(-2, 2)] * n), min_size=2, max_size=12)))
+def test_search_matches_the_tuple_reference(V):
+    V = sorted(V)
+    res = search_lattice_tiling(V)
+    assert _search_fields(res) == _search_fields(_tuple_search(V))
+    assert all(type(g) is tuple for _, images in res.failures for g in images)
+
+
+@pytest.mark.parametrize("V", [double_sphere(3, 1), double_sphere(5, 1), lee_sphere(3, 2)],
+                         ids=["ds3_1", "ds5_1", "s3_2"])
+def test_search_matches_the_tuple_reference_at_every_budget(V):
+    nodes = search_lattice_tiling(V).nodes
+    for budget in (1, 2, 3, 10, 100, 1000, nodes - 1, nodes):
+        res = search_lattice_tiling(V, budget)
+        assert _search_fields(res) == _search_fields(_tuple_search(V, budget)), budget
+        assert (res.status == BUDGET_EXCEEDED) == (budget < nodes), budget
+
+
+def test_search_memo_cap_keeps_the_result(monkeypatch):
+    V = double_sphere(5, 1)
+    ref = _search_fields(search_lattice_tiling(V))
+    monkeypatch.setattr(tiling, "SEARCH_MEMO_CAP", 3)
+    assert _search_fields(search_lattice_tiling(V)) == ref
+
+
+# status, group, nodes and full assignments the tuple search reached on
+# tiles larger than the benchmark's
+@pytest.mark.parametrize("V, status, factors, nodes, assignments", [
+    ([(x,) for x in range(300)], FOUND, (4, 3, 25), 43, 43),
+    ([(x,) for x in range(1000)], FOUND, (8, 125), 90, 90),
+    ([(x, y) for x in range(300) for y in range(2)], FOUND, (4, 2, 3, 25), 129, 76),
+    (lee_sphere(3, 3), NOT_FOUND, None, 12232, 11844),
+    (double_sphere(6, 1), FOUND, (4, 2, 3), 76233, 36881),
+], ids=["interval300", "interval1000", "grid300x2", "s3_3", "ds6_1"])
+def test_search_pins_larger_tiles(V, status, factors, nodes, assignments):
+    res = search_lattice_tiling(V)
+    assert (res.status, res.nodes, res.assignments_tried) == (status, nodes, assignments)
+    if status == FOUND:
+        assert res.hom.group.factors == factors
+        assert is_bijection_on(res.hom, V)
