@@ -59,14 +59,6 @@ TRANSVERSAL_OF = {SPHERE: IDENTITY, DOUBLE_SPHERE: EVEN_WEIGHT}
 # CPython 3.11 on a 2-vCPU VM
 MAX_ANTICODE_POINTS = 2 ** 17
 
-# most rows of the dense core that tiling.abs_det may leave for a load's
-# fraction-free elimination, whose time is cubic in them: every code
-# construct or pl1 emits, and every stored descriptor, peels completely;
-# the DPL(n,4) basis times a dense unimodular matrix leaves n rows, 0.05 s
-# to eliminate at n = 64 and 3.9 s at n = 256 in CPython 3.11 on a
-# 2-vCPU VM
-MAX_BAREISS_CORE = 64
-
 
 @dataclass(frozen=True)
 class AnticodeSpec:
@@ -387,7 +379,7 @@ def code_from_dict(d):
     anticode kind, and that the period divides q.  An anticode of more
     than MAX_ANTICODE_POINTS points is refused before it is enumerated,
     and a basis whose determinant leaves a dense core of more than
-    MAX_BAREISS_CORE rows before it is eliminated.
+    tiling.MAX_BAREISS_CORE rows before it is eliminated.
     """
     if type(d) is not dict or type(d.get("anticode")) is not dict:
         raise DataFormatError("a code descriptor is a JSON object with an "
@@ -423,7 +415,7 @@ def code_from_dict(d):
         raise DataFormatError(f"q = {q} is not a positive multiple of the period "
                               f"{period(hom)}")
     try:
-        basis = lattice_basis(hom, rows, MAX_BAREISS_CORE)
+        basis = lattice_basis(hom, rows)
     except (ConstructionError, SizeError) as exc:
         raise DataFormatError(str(exc)) from exc
     code = LinearLeeCode(anticode=anticode, hom=hom, basis=basis, q=q)

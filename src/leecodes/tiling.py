@@ -227,17 +227,25 @@ def det_bareiss(mat):
     return sign * A[-1][-1]
 
 
-def abs_det(rows, max_core=None):
+# most rows of the dense core that abs_det leaves for det_bareiss, whose
+# time is cubic in them: every code construct or pl1 emits, and every
+# stored descriptor, peels completely; the DPL(n,4) basis times a dense
+# unimodular matrix leaves n rows, 0.05 s to eliminate at n = 64 and
+# 3.9 s at n = 256 in CPython 3.11 on a 2-vCPU VM
+MAX_BAREISS_CORE = 64
+
+
+def abs_det(rows):
     """Exact |det| of a square integer matrix, sparse rows peeled first.
 
     A row or column with exactly one nonzero a_rc left is an exact
     Laplace step: |det| gains |a_rc| and row r and column c go.  An
     emptied row or column gives 0; whatever core is left goes to
     det_bareiss, which costs time cubic in its rows: SizeError, before
-    any elimination, when the core has more than max_core rows.  Bases
-    that are triangular up to a permutation of rows and columns (the
-    DPL(n,4) basis, the HNF of kernel_basis) peel completely, in time
-    linear in their entries.
+    any elimination, when the core has more than MAX_BAREISS_CORE rows.
+    Bases that are triangular up to a permutation of rows and columns
+    (the DPL(n,4) basis, the HNF of kernel_basis) peel completely, in
+    time linear in their entries.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -284,9 +292,9 @@ def abs_det(rows, max_core=None):
                 if len(col_nz[j]) == 1:
                     todo.append((False, j))
     if live_rows:
-        if max_core is not None and len(live_rows) > max_core:
+        if len(live_rows) > MAX_BAREISS_CORE:
             raise SizeError(f"the determinant leaves a dense {len(live_rows)} x "
-                            f"{len(live_rows)} core, above {max_core} rows")
+                            f"{len(live_rows)} core, above {MAX_BAREISS_CORE} rows")
         cols = sorted(live_cols)
         det *= abs(det_bareiss([[row_nz[i].get(j, 0) for j in cols]
                                 for i in sorted(live_rows)]))
@@ -328,17 +336,16 @@ def _check_in_kernel(hom, rows):
             raise ConstructionError(f"basis row {row} not in kernel")
 
 
-def lattice_basis(hom, rows, max_core=None):
+def lattice_basis(hom, rows):
     """KernelBasis of n x n integer rows; ConstructionError unless they lie
     in ker(phi) with |det| = |G| exactly, which for phi onto G (ker(phi)
-    then has index |G| in Z^n) proves them a basis of ker(phi).  max_core
-    bounds the dense core of abs_det.
+    then has index |G| in Z^n) proves them a basis of ker(phi).
     """
     rows = tuple(map(tuple, rows))
     if len(rows) != hom.n or any(len(row) != hom.n for row in rows):
         raise DimensionError(f"basis is not {hom.n} x {hom.n}")
     _check_in_kernel(hom, rows)
-    det = abs_det(rows, max_core)
+    det = abs_det(rows)
     if det != hom.group.order:
         raise ConstructionError(f"|det(basis)| = {det} != |G| = {hom.group.order}")
     return KernelBasis(rows=rows, det_abs=det)

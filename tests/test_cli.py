@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from leecodes import (cli, code_from_json, code_to_json, codes, construct_dpl4,
-                      construct_pl1, is_admissible_q, restrict_to_zq)
+                      construct_pl1, is_admissible_q, restrict_to_zq, tiling)
 from leecodes.cli import (
     EXIT_BUDGET,
     EXIT_DATA,
@@ -246,19 +246,19 @@ def test_load_bounds_the_dense_core_of_the_determinant(tmp_path, capsys, monkeyp
     t0 = time.perf_counter()
     assert run(["decode", "--code", str(path), "--word", ",".join(["1"] * 256)]) == EXIT_DATA
     assert time.perf_counter() - t0 < 1.0
-    assert f"above {codes.MAX_BAREISS_CORE} rows" in capsys.readouterr().err
+    assert f"above {tiling.MAX_BAREISS_CORE} rows" in capsys.readouterr().err
     # below the bound the same kind of basis loads, as the same code
     d = dense_core_descriptor(16)
     code = code_from_json(json.dumps(d))
     assert code.basis.rows == tuple(map(tuple, d["basis"]))
     assert code.basis.det_abs == 64
     assert code.hom == construct_dpl4(16, 4).hom
-    monkeypatch.setattr(codes, "MAX_BAREISS_CORE", 0)
+    monkeypatch.setattr(tiling, "MAX_BAREISS_CORE", 0)
     with pytest.raises(DataFormatError):
         code_from_json(json.dumps(d))
 
 
-def test_bareiss_bound_admits_every_emitted_and_stored_code():
+def test_bareiss_bound_admits_every_emitted_and_stored_code(monkeypatch):
     # each of them peels completely, so a bound of 0 rows admits it
     emitted = [construct_pl1(n) for n in range(1, 41)]
     emitted += [construct_dpl4(n, q) for n in range(1, 41) for q in range(4, 4 * n + 1, 4)
@@ -266,10 +266,11 @@ def test_bareiss_bound_admits_every_emitted_and_stored_code():
     stored = sorted(Path(SRC).parent.glob("perfbench/data/*.json"))
     assert len(stored) == 5
     texts = [code_to_json(code) for code in emitted] + [p.read_text() for p in stored]
+    monkeypatch.setattr(tiling, "MAX_BAREISS_CORE", 0)
     for text in texts:
         code = code_from_json(text)
         assert json.loads(code_to_json(code)) == json.loads(text)
-        assert abs_det(code.basis.rows, max_core=0) == code.hom.group.order
+        assert abs_det(code.basis.rows) == code.hom.group.order
 
 
 def test_python_m_cli_runs_main(tmp_path):

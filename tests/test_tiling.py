@@ -255,18 +255,22 @@ def test_abs_det_peels_stored_bases_completely(monkeypatch):
 
 def test_abs_det_bounds_its_dense_core(monkeypatch):
     dense = [(2, 1, 1), (1, 2, 1), (1, 1, 2)]  # no row or column peels
-    assert abs_det(dense, max_core=3) == abs_det(dense) == 4
+    assert abs_det(dense) == 4
+    monkeypatch.setattr(tiling, "MAX_BAREISS_CORE", 3)
+    assert abs_det(dense) == 4
+    monkeypatch.setattr(tiling, "MAX_BAREISS_CORE", 2)
     calls = []
-    monkeypatch.setattr(tiling, "det_bareiss", calls.append)
-    with pytest.raises(SizeError):
-        abs_det(dense, max_core=2)
+    with monkeypatch.context() as m:
+        m.setattr(tiling, "det_bareiss", calls.append)
+        with pytest.raises(SizeError):
+            abs_det(dense)
     assert calls == []  # refused before any elimination
-    # a peel that leaves no core passes any bound
-    assert abs_det([(1, 5, 0), (0, 2, 0), (0, 0, 3)], max_core=0) == 6
     hom = Homomorphism(FiniteAbelianGroup((4,)), ((1,), (1,), (1,)))
-    rows = [(2, 1, 1), (1, 2, 1), (1, 1, 2)]
     with pytest.raises(SizeError):
-        lattice_basis(hom, rows, max_core=2)
+        lattice_basis(hom, dense)
+    # a peel that leaves no core passes any bound
+    monkeypatch.setattr(tiling, "MAX_BAREISS_CORE", 0)
+    assert abs_det([(1, 5, 0), (0, 2, 0), (0, 0, 3)]) == 6
 
 
 ENTRY = st.integers(-9, 9)
