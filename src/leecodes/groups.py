@@ -154,11 +154,19 @@ def aut_orbit_key(g, G):
 
 
 def aut_orbit_representatives(G):
-    """The lex-least element of each Aut(G)-orbit, in lexicographic order."""
+    """The lex-least element of each Aut(G)-orbit, in lexicographic order.
+
+    Multiplying one coordinate by a unit is an automorphism, so every
+    coordinate of a lex-least orbit member is 0 or a power of its
+    factor's prime: only those prod(e_j + 1) tuples are scanned, where
+    the factor t_j is p^e_j, not all |G| elements.
+    """
     primes = _factor_primes(G)
+    candidates = [[0] + [p ** k for k in range(_valuation(t, p))]
+                  for t, p in zip(G.factors, primes)]
     seen = set()
     reps = []
-    for g in G.elements():
+    for g in product(*candidates):
         key = _height_key(g, G.factors, primes)
         if key not in seen:
             seen.add(key)

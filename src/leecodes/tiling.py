@@ -371,26 +371,42 @@ def _kernel_points(hom, lo, hi):
     Back substitution on the lower Hermite basis B of ker(phi), at a
     cost of O(n) per point: every point is in the kernel by
     construction, so phi is evaluated only on the n basis rows.  phi
-    need not be onto G.  A stack entry (j, part, suffix) has l_{j+1..}
-    = suffix chosen, and part[k], k <= j, is the sum of z_i * B[i][k]
-    over the rows i > j, so l_j = part[j] + z_j * B[j][j] and the
-    admissible l_j form the progression of step B[j][j] through
+    need not be onto G.  A stack entry (j, part, suffix), j >= 1, has
+    l_{j+1..} = suffix chosen, and part[k], k <= j, is the sum of
+    z_i * B[i][k] over the rows i > j, so l_j = part[j] + z_j * B[j][j]
+    and the admissible l_j form the progression of step B[j][j] through
     [lo[j], hi[j]], pushed from the top down so the least pops first.
+    Level 1 pushes nothing: it walks its progression upwards carrying
+    the one scalar part[0] + z_1 * B[1][0], which fixes l_0 modulo
+    B[0][0], and emits the l_0 of each l_1 at once.  The largest pivot
+    is B[0][0] for the DPL codes, so most l_1 admit no l_0 or one.
     """
     n = hom.n
     if n == 0:
         return [()]
     B = _kernel_hnf(hom)
+    d0, lo0, hi0 = B[0][0], lo[0], hi[0]
+    if n == 1:
+        return [(y,) for y in range(lo0 + -lo0 % d0, hi0 + 1, d0)]
+    b10, hi1 = B[1][0], hi[1]
     out = []
     stack = [(n - 1, [0] * n, ())]
     while stack:
         j, part, suffix = stack.pop()
         d = B[j][j]
         x = lo[j] + (part[j] - lo[j]) % d  # least l_j >= lo[j]
-        if j == 0:
-            out.extend([(y,) + suffix for y in range(x, hi[0] + 1, d)])
-            continue
         if x > hi[j]:
+            continue
+        if j == 1:
+            r = part[0] - lo0 + (x - part[1]) // d * b10  # part[0] + z_1 * B[1][0] - lo0
+            for y in range(x, hi1 + 1, d):
+                y0 = lo0 + r % d0  # least l_0 >= lo0
+                r += b10
+                if y0 + d0 > hi0:
+                    if y0 <= hi0:
+                        out.append((y0, y) + suffix)
+                else:
+                    out.extend([(v, y) + suffix for v in range(y0, hi0 + 1, d0)])
             continue
         row = B[j][:j]
         top = hi[j] - (hi[j] - x) % d  # greatest l_j <= hi[j]

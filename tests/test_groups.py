@@ -201,6 +201,24 @@ def test_aut_orbit_key_matches_brute_force_orbits(m):
         assert aut_orbit_representatives(G) == sorted(o[0] for o in orbits), G.factors
 
 
+def full_scan_orbit_representatives(G):
+    """The scan of every element kept as a reference: first member per key."""
+    seen = set()
+    reps = []
+    for g in G.elements():
+        key = aut_orbit_key(g, G)
+        if key not in seen:
+            seen.add(key)
+            reps.append(g)
+    return reps
+
+
+def test_orbit_representatives_match_the_full_scan():
+    for m in range(1, 401):
+        for G in enumerate_abelian_groups(m):
+            assert aut_orbit_representatives(G) == full_scan_orbit_representatives(G), G.factors
+
+
 def test_aut_orbit_key_examples():
     Z8 = FiniteAbelianGroup((8,))
     assert [aut_orbit_key(g, Z8) for g in [(0,), (1,), (2,), (4,), (6,)]] == [

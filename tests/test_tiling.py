@@ -28,6 +28,7 @@ from leecodes.errors import (
 )
 from leecodes.groups import aut_orbit_representatives
 from leecodes.lee import lee_sphere_sparse, nonzeros
+from leecodes.nonregular import construct_double_cross_hom, half_lattice_hom
 from leecodes.tiling import (
     BUDGET_EXCEEDED,
     FOUND,
@@ -560,6 +561,49 @@ def test_kernel_basis_and_points_match_two_pass_reference(case):
     expected = []
     reference_descend(basis, hom.n - 1, [0] * hom.n, lo, hi, (), expected)
     assert _kernel_points(hom, lo, hi) == expected  # same order too
+
+
+CERTIFY_HOMS = {
+    **{f"dpl4_{n}_{q}": (construct_dpl4, n, q)
+       for n, q in [(3, 12), (4, 4), (4, 8), (4, 16), (5, 20)]},
+    **{f"pl1_{n}": (construct_pl1, n) for n in range(2, 6)},
+}
+
+
+def _reference_points(hom, lo, hi):
+    out = []
+    reference_descend(kernel_basis(hom).rows, hom.n - 1, [0] * hom.n, lo, hi, (), out)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFY_HOMS))
+def test_kernel_points_match_reference_on_the_certified_codes(name):
+    build, *args = CERTIFY_HOMS[name]
+    hom = build(*args).hom
+    for bound in (2, 3, 4):
+        lo, hi = [-bound] * hom.n, [bound] * hom.n
+        assert _kernel_points(hom, lo, hi) == _reference_points(hom, lo, hi), bound
+
+
+def test_kernel_points_match_reference_on_the_shifted_half_box():
+    lim = 18 + 2  # the box shifted_tiling_n3 walks at R = 18
+    half = half_lattice_hom(construct_double_cross_hom(3))
+    lo, hi = [-2 * lim - 1, -lim, -lim], [2 * lim + 1, lim, lim]
+    points = _kernel_points(half, lo, hi)
+    assert points == _reference_points(half, lo, hi)
+    assert len(points) > 1000
+
+
+@pytest.mark.parametrize("lo, hi, expected", [
+    ([3], [2], []),                         # empty box
+    ([-4], [4], [(0,)]),                    # one point
+    ([5], [5], [(5,)]),                     # one point off the origin
+    ([-12], [13], [(-10,), (-5,), (0,), (5,), (10,)]),
+])
+def test_kernel_points_in_one_dimension(lo, hi, expected):
+    hom = Homomorphism(Z5, ((2,),))
+    assert _kernel_points(hom, lo, hi) == expected
+    assert _reference_points(hom, lo, hi) == expected
 
 
 def test_kernel_of_all_ones_map_at_large_n():
