@@ -34,9 +34,9 @@ MAX_GROUP_ORDER = 10 ** 12
 # the largest n^2 basis entries pl1 and construct --n may emit.  Kernel
 # points are enumerated at a cost proportional to their number, about
 # box / |G|, but verify's cover marks up to box points, tile prints
-# box / |G| of them and nonregular keeps about (2(R + 2) + 1)^3 / 12
+# box / |G| of them and nonregular keeps about (2R + 4)(2R + 3)^2 / 12
 # centers: at the bound verify DPL(6,12) takes 0.3 s, tile 1.3 s,
-# nonregular 2.5 s (783058 centers at R = 103) and pl1 --n 3162 5.7 s
+# nonregular 2.0 s (764452 centers at R = 103) and pl1 --n 3162 5.7 s
 # and 250 MB in CPython 3.11 on a 2-vCPU VM
 MAX_WINDOW_POINTS = 10 ** 7
 
@@ -186,8 +186,9 @@ def cmd_nonregular(args):
     low = 6 * len(args.bits) + 6
     if any(b not in "01" for b in args.bits) or args.window < low:
         raise UsageError(f"--bits must be 0s and 1s and --window >= {low}")
-    # the centers are shifted kernel points with |x_1| <= R + 5/2 and
-    # |x_2|, |x_3| <= R + 2; reach 4 keeps 103 the largest window accepted
+    # the kernel walk scans x_1 in [-R - 5/2, R + 3/2] and x_2, x_3 in
+    # [-R - 1, R + 1], inside the box of reach 3; reach 4 keeps 103 the
+    # largest window accepted
     _check_window(args.window, 4, 3)
     t = nonregular.shifted_tiling_n3(args.bits, args.window)
     if args.out:

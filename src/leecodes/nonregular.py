@@ -6,22 +6,22 @@ The double cross W is checked in sparse form, at most two nonzeros per
 word, so the bijection check costs O(n) for its 8n words.  The n=3
 family shifts diagonal connectivity components of the tiling per a
 finite bit string, yielding pairwise-distinct integer-centered window
-tilings and, through the even-weight transversal taken column by
-column, non-lattice diameter-4 codes on the window.
+tilings and, through the even-weight transversal, non-lattice
+diameter-4 codes on the window.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import groupby, repeat
-from operator import add, and_, itemgetter
+from itertools import compress, groupby, repeat
+from operator import add, and_, itemgetter, not_
 
 from .errors import DomainError, StructuralError, WindowError
 from .groups import FiniteAbelianGroup, element_order
 from .lee import double_sphere, double_sphere_sparse
 from .tiling import (Homomorphism, KernelBasis, _kernel_points, exact_cover,
-                     is_bijection_on, lattice_basis)
+                     is_bijection_on, lattice_basis, touch_box)
 
 K1 = "K1"
 K2 = "K2"
@@ -158,9 +158,12 @@ def shifted_tiling_n3(bits, R):
 
     Component m is shifted by +(1/2)e_1 when 1 <= m <= len(bits) and
     bits[m-1] == '1', by -(1/2)e_1 otherwise (the m <= 0 default).  All
-    resulting centers are integral.  Returned are all of them in the
-    box [-R-2, R+2]^3: a superset of the centers whose tile can touch
-    [-R,R]^3, which exact_cover filters.
+    resulting centers are integral.  Returned, sorted lexicographically,
+    are exactly the centers c that pass the touch rule of the tile V =
+    double_sphere(3, 1, 1): -R - max v_i <= c_i <= R - min v_i, that is
+    c_1 in [-R-2, R+1] and c_2, c_3 in [-R-1, R+1] (tiling.touch_box).
+    Not every one of them meets [-R,R]^3, but no other center can, so
+    the cover check filters nothing.
     """
     if any(b not in "01" for b in bits):
         raise DomainError(f"bits must be a 0/1 string, got {bits!r}")
@@ -169,17 +172,17 @@ def shifted_tiling_n3(bits, R):
             f"window R = {R} too small for {len(bits)} components; need >= "
             f"{6 * len(bits) + 6}"
         )
-    lim = R + 2
+    (lo1, lo2, lo3), (hi1, hi2, hi3) = touch_box(double_sphere(3, 1, 1), R)
     # doubled shift of every center with x_2 + x_3 = s: 0 on K1, +-1 on K2
     shift = {}
-    for s in range(-2 * lim, 2 * lim + 1):
+    for s in range(lo2 + lo3, hi2 + hi3 + 1):
         kind, m = component_index_n3((0, s, 0))
         up = kind == K2 and 1 <= m <= len(bits) and bits[m - 1] == "1"
         shift[s] = 0 if kind == K1 else 1 if up else -1
-    # a shift of at most 1/2 along axis 1 brings d1 / 2 into [-lim, lim]
-    # only from d1 in [-2 * lim - 1, 2 * lim + 1]
+    # a shift of at most 1/2 along axis 1 brings d1 / 2 into [lo1, hi1]
+    # only from d1 in [2 * lo1 - 1, 2 * hi1 + 1]
     half = half_lattice_hom(construct_double_cross_hom(3))
-    box = _kernel_points(half, [-2 * lim - 1, -lim, -lim], [2 * lim + 1, lim, lim])
+    box = _kernel_points(half, [2 * lo1 - 1, lo2, lo3], [2 * hi1 + 1, hi2, hi3])
     centers = []
     for d1, x2, x3 in box:
         shifted = d1 + shift[x2 + x3]
@@ -188,7 +191,7 @@ def shifted_tiling_n3(bits, R):
                 f"shifted center ({shifted}/2,{x2},{x3}) is not integral"
             )
         c1 = shifted // 2
-        if -lim <= c1 <= lim:
+        if lo1 <= c1 <= hi1:
             centers.append((c1, x2, x3))
     # distinct: kernel points are, and the shift depends on x_2 + x_3 only
     lex_sort(centers)
@@ -203,15 +206,20 @@ def verify_cover(tiling):
 def code_from_window_tiling(tiling):
     """One codeword per tile: the even-Lee-weight member of {c, c + e_1}, sorted.
 
-    The rule of lee.even_weight_member, applied column by column: the
-    first coordinate gains the parity of the coordinate sum.  Distinct
-    centers can bump onto one word, so equal neighbours of the sorted
-    words are dropped.
+    The rule of lee.even_weight_member, applied in bulk: the centers
+    with an odd coordinate sum gain 1 in the first coordinate.  Split
+    by that parity, a sorted input gives two sorted runs, the even
+    centers and the bumped odd ones, which one sort merges in linear
+    time (any input order still sorts, only slower).  Distinct centers
+    can bump onto one word, so equal neighbours are dropped.
     """
     centers = tiling.centers
     if not centers:
         return []
-    first, *rest = zip(*centers)
-    bump = map(and_, map(sum, centers), repeat(1))
-    words = sorted(zip(map(add, first, bump), *rest))
+    odd = list(map(and_, map(sum, centers), repeat(1)))
+    words = list(compress(centers, map(not_, odd)))
+    up = list(compress(centers, odd))
+    words += zip(map(add, map(itemgetter(0), up), repeat(1)),
+                 *(map(itemgetter(i), up) for i in range(1, len(centers[0]))))
+    words.sort()
     return list(map(itemgetter(0), groupby(words)))

@@ -534,12 +534,21 @@ def tile_spread(V):
     return max(max(col) - min(col) for col in zip(*V))
 
 
+def touch_box(V, R):
+    """(lo, hi): the box of the centers c whose translate c + V can meet [-R,R]^n.
+
+    c + V meets the window only if lo_i = -R - max v_i <= c_i <= R -
+    min v_i = hi_i on every axis.  V is a nonempty sequence of words of
+    one length.
+    """
+    axes = list(zip(*V))
+    return [-R - max(col) for col in axes], [R - min(col) for col in axes]
+
+
 def verify_window_tiling(hom, V, R):
     """Exact cover of [-R,R]^n by the translates of V over ker(phi).
 
-    A translate l + V meets the window only if -R - max v_i <= l_i <=
-    R - min v_i on every axis, so the kernel points of that box are the
-    centers.
+    The centers are the kernel points of touch_box(V, R).
     """
     V = list(V)
     if not V:
@@ -547,10 +556,7 @@ def verify_window_tiling(hom, V, R):
     for v in V:
         if len(v) != hom.n:
             raise DimensionError(f"word length {len(v)} != {hom.n}")
-    axes = list(zip(*V))
-    lo = [-R - max(col) for col in axes]
-    hi = [R - min(col) for col in axes]
-    return exact_cover(_kernel_points(hom, lo, hi), V, R)
+    return exact_cover(_kernel_points(hom, *touch_box(V, R)), V, R)
 
 
 # --- exhaustive search ----------------------------------------------------

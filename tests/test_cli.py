@@ -158,6 +158,20 @@ def test_nonregular_window_bound(monkeypatch, capsys):
     assert run(["nonregular", "--bits", "101", "--window", "24"]) == EXIT_OK
 
 
+def test_nonregular_largest_window(monkeypatch, capsys):
+    # 103 is the largest window whose scan box (2 * (R + 4) + 1)^3 is at
+    # most MAX_WINDOW_POINTS; 104 is refused before any enumeration
+    def enumerate_anyway(bits, R):
+        raise AssertionError(f"shifted_tiling_n3 called with R = {R}")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli.nonregular, "shifted_tiling_n3", enumerate_anyway)
+        assert run(["nonregular", "--bits", "", "--window", "104"]) == EXIT_USAGE
+    assert "217^3" in capsys.readouterr().err
+    assert run(["nonregular", "--bits", "", "--window", "103"]) == EXIT_OK
+    assert "centers=764452" in capsys.readouterr().out
+
+
 def test_nonregular_bad_arguments_are_usage_errors(monkeypatch, capsys):
     # bits that are not 0/1 and windows below 6 * len(bits) + 6 are refused
     # before any enumeration

@@ -3,6 +3,8 @@ from itertools import product
 from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leecodes import (
     ShiftedWindowTiling,
@@ -27,7 +29,7 @@ from leecodes.nonregular import (
     half_lattice_hom,
     lex_sort,
 )
-from leecodes.tiling import Homomorphism, apply_hom, is_bijection_on
+from leecodes.tiling import Homomorphism, apply_hom, is_bijection_on, touch_box
 
 
 def half_kernel_centers(bound):
@@ -258,33 +260,54 @@ def congruence_loop_centers(bits, R):
     return tuple(sorted(set(centers)))
 
 
-@pytest.mark.parametrize(
-    "bits", ["".join(p) for k in range(5) for p in product("01", repeat=k)]
-)
+def touches(c, R):
+    """The touch rule of double_sphere(3, 1, 1), whose words have least
+    coordinates (-1, -1, -1) and greatest (2, 1, 1): -R - M_i <= c_i <=
+    R - m_i on every axis."""
+    return all(-R - M <= x <= R - m for x, m, M in zip(c, (-1, -1, -1), (2, 1, 1)))
+
+
+def test_touch_rule_is_the_tile_extent():
+    V = double_sphere(3, 1, 1)
+    assert [min(col) for col in zip(*V)] == [-1, -1, -1]
+    assert [max(col) for col in zip(*V)] == [2, 1, 1]
+    assert touch_box(V, 18) == ([-20, -19, -19], [19, 19, 19])
+
+
+BIT_STRINGS = ["".join(p) for k in range(5) for p in product("01", repeat=k)]
+
+
+@pytest.mark.parametrize("bits", BIT_STRINGS)
 def test_shifted_tiling_equals_congruence_loop(bits):
     # the loop's output at R is its output at a larger R cut to
-    # [-(R + 2), R + 2]^3, so one reference run serves every R
+    # [-(R + 2), R + 2]^3, which holds the touch box at R, so one
+    # reference run cut to the touch box serves every R
     low = 6 * len(bits) + 6
     windows = sorted(set(range(low, low + 8)) | {30})
     reference = congruence_loop_centers(bits, windows[-1])
-    reach = [max(map(abs, c)) for c in reference]
     for R in windows:
-        want = tuple(c for c, r in zip(reference, reach) if r <= R + 2)
+        want = tuple(c for c in reference if touches(c, R))
         assert shifted_tiling_n3(bits, R).centers == want, (bits, R)
 
 
-def test_shifted_tiling_keeps_the_whole_padded_box():
-    # every shifted center in [-R - 2, R + 2]^3, a superset of the 5070
-    # whose tile double_sphere(3, 1, 1) can touch [-R, R]^3
+@pytest.mark.parametrize("bits", ["00", "01", "10", "11"])
+def test_shifted_tiling_returns_exactly_the_touching_centers(bits):
+    # 5070 centers pass the touch rule at R = 18; 5024 of their tiles
+    # meet [-R, R]^3, and no other center's tile can
     R = 18
-    t = shifted_tiling_n3("01", R)
-    assert len(t.centers) == 5764
-    assert max(max(map(abs, c)) for c in t.centers) == R + 2
-    low, high = (-1, -1, -1), (2, 1, 1)
-    touching = [c for c in t.centers
-                if all(-R - M <= x <= R - m for x, m, M in zip(c, low, high))]
-    assert len(touching) == 5070
-    assert verify_cover(ShiftedWindowTiling(R=R, bits="01", centers=tuple(touching)))
+    t = shifted_tiling_n3(bits, R)
+    assert len(t.centers) == 5070
+    assert all(touches(c, R) for c in t.centers)
+    assert sum(any(all(abs(x + y) <= R for x, y in zip(c, v))
+                   for v in double_sphere(3, 1, 1)) for c in t.centers) == 5024
+    assert verify_cover(t)
+
+
+@pytest.mark.parametrize("bits", BIT_STRINGS)
+def test_shifted_tiling_covers_every_window(bits):
+    low = 6 * len(bits) + 6
+    for R in (low, low + 1, low + 5, 30):
+        assert verify_cover(shifted_tiling_n3(bits, R)), (bits, R)
 
 
 def test_lex_sort_equals_sorted_on_shuffled_centers():
@@ -336,6 +359,26 @@ def test_code_from_window_tiling_matches_the_set_rule():
     t = ShiftedWindowTiling(R=6, bits="", centers=((0, 0, 1), (1, 0, 1), (2, 0, 0)))
     assert code_from_window_tiling(t) == [(1, 0, 1), (2, 0, 0)]
     assert code_from_window_tiling(ShiftedWindowTiling(R=6, bits="", centers=())) == []
+
+
+@st.composite
+def center_tuples(draw):
+    """Unsorted center tuples of one length n in 1..4, possibly empty, with
+    negative coordinates and repeats, plus some c - e_1 of even-sum
+    centers c: their coordinate sum is odd, so their bump lands on c."""
+    n = draw(st.integers(1, 4))
+    coord = st.integers(-3, 3)
+    centers = draw(st.lists(st.tuples(*[coord] * n), max_size=40))
+    partners = [(c[0] - 1,) + c[1:] for c in centers if sum(c) % 2 == 0]
+    centers += draw(st.lists(st.sampled_from(partners), max_size=20)) if partners else []
+    return tuple(draw(st.permutations(centers)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(center_tuples())
+def test_code_from_window_tiling_matches_the_set_rule_on_any_centers(centers):
+    t = ShiftedWindowTiling(R=6, bits="", centers=centers)
+    assert code_from_window_tiling(t) == sorted({even_weight_member(c) for c in centers})
 
 
 def test_shifted_tiling_json_roundtrip():
