@@ -2,8 +2,9 @@
 
 Points of the lattice generated by (1/2)e_1, e_2, ..., e_n are stored
 exactly with a doubled first coordinate; no floating point anywhere.
-The double cross W is checked in sparse form, at most two nonzeros per
-word, so the bijection check costs O(n) for its 8n words.  The n=3
+The double cross W = V | (V + (1/2)e_1) is checked on the 4n words of
+V, in sparse form: phi maps V + (1/2)e_1 onto phi(V) + h, so one set
+of 4n images and its shift by h decide the bijection on W.  The n=3
 family shifts diagonal connectivity components of the tiling per a
 finite bit string, yielding pairwise-distinct integer-centered window
 tilings and, through the even-weight transversal, non-lattice
@@ -17,37 +18,14 @@ from dataclasses import dataclass
 from itertools import compress, groupby, repeat
 from operator import add, and_, itemgetter, not_
 
-from .errors import DomainError, StructuralError, WindowError
+from .errors import DimensionError, DomainError, StructuralError, WindowError
 from .groups import FiniteAbelianGroup, element_order
 from .lee import double_sphere, double_sphere_sparse
-from .tiling import (Homomorphism, KernelBasis, _kernel_points, exact_cover,
-                     is_bijection_on, lattice_basis, touch_box)
+from .tiling import (Homomorphism, KernelBasis, _kernel_points, apply_hom_sparse,
+                     exact_cover, lattice_basis, lex_sort, touch_box)
 
 K1 = "K1"
 K2 = "K2"
-
-
-def double_cross_support_sparse(n):
-    """The 8n half-lattice points of W = V | (V + (1/2)e_1), doubled and
-    sparse, unordered.
-
-    A sparse word of V = double_sphere(n, 1, 1) whose first pair is
-    (0, x) gives the doubled words with first pair (0, 2x) and
-    (0, 2x + 1), both nonzero for x != 0; any other word w (x = 0)
-    gives w and ((0, 1),) + w.  Indices stay ascending, as inverse_on
-    requires.
-    """
-    out = []
-    for w in double_sphere_sparse(n, 1, 1):
-        if w and w[0][0] == 0:
-            rest = w[1:]
-            x = 2 * w[0][1]
-            out.append(((0, x),) + rest)
-            out.append(((0, x + 1),) + rest)
-        else:
-            out.append(w)
-            out.append(((0, 1),) + w)
-    return out
 
 
 def construct_double_cross_hom(n):
@@ -90,13 +68,25 @@ def half_lattice_hom(hom):
 def verify_nonregular(hom, n):
     """Both sufficient-condition checks for a non-regular tiling.
 
-    True iff phi is bijective on the 8n-point W and some phi(e_i),
-    i >= 2, generates the order-8n group.
+    True iff phi is bijective on the 8n-point W = V | (V + (1/2)e_1),
+    V = double_sphere(n, 1, 1), and some phi(e_i), i >= 2, generates
+    the order-8n group.  On the half lattice, with h the image of
+    (1/2)e_1 and 2h = phi(e_1), a point v of V maps to phi(v) and v +
+    (1/2)e_1 to phi(v) + h.  So phi is bijective on W iff |G| = 8n,
+    phi is injective on the 4n points of V, and phi(V) does not meet
+    phi(V) + h.
     """
-    half = half_lattice_hom(hom)
+    h = hom.half_image
+    if h is None:
+        raise StructuralError("homomorphism has no half image")
+    V = double_sphere_sparse(n, 1, 1)
     G = hom.group
-    W = double_cross_support_sparse(n)
-    if len(W) != G.order or not is_bijection_on(half, W):
+    if 2 * len(V) != G.order:
+        return False
+    if n > hom.n:
+        raise DimensionError(f"the double cross of Z^{n} is outside the domain Z^{hom.n}")
+    image = {apply_hom_sparse(hom, v) for v in V}
+    if len(image) != len(V) or not image.isdisjoint(G.add(g, h) for g in image):
         return False
     return any(element_order(g, G) == G.order for g in hom.images[1:])
 
@@ -139,18 +129,6 @@ class ShiftedWindowTiling:
 
     def to_json(self):
         return json.dumps(self.to_dict(), separators=(",", ":"))
-
-
-def lex_sort(points):
-    """Sort equal-length tuples lexicographically in place.
-
-    One stable sort per coordinate, from the last to the first (an LSD
-    order), gives the lexicographic order for any input order.  Each
-    pass compares ints, not tuples, which is about three times faster
-    than one tuple sort on the long runs of ties of a kernel box.
-    """
-    for k in reversed(range(len(points[0]) if points else 0)):
-        points.sort(key=itemgetter(k))
 
 
 def shifted_tiling_n3(bits, R):
@@ -212,14 +190,18 @@ def code_from_window_tiling(tiling):
     centers and the bumped odd ones, which one sort merges in linear
     time (any input order still sorts, only slower).  Distinct centers
     can bump onto one word, so equal neighbours are dropped.
+    DimensionError unless every center has the first one's length.
     """
     centers = tiling.centers
     if not centers:
         return []
+    n = len(centers[0])
+    if not set(map(len, centers)) <= {n}:
+        raise DimensionError(f"a center's length is not the first one's n = {n}")
     odd = list(map(and_, map(sum, centers), repeat(1)))
     words = list(compress(centers, map(not_, odd)))
     up = list(compress(centers, odd))
     words += zip(map(add, map(itemgetter(0), up), repeat(1)),
-                 *(map(itemgetter(i), up) for i in range(1, len(centers[0]))))
+                 *(map(itemgetter(i), up) for i in range(1, n)))
     words.sort()
     return list(map(itemgetter(0), groupby(words)))

@@ -418,10 +418,22 @@ def _kernel_points(hom, lo, hi):
     return out
 
 
+def lex_sort(points):
+    """Sort equal-length tuples lexicographically in place.
+
+    One stable sort per coordinate, from the last to the first (an LSD
+    order), gives the lexicographic order for any input order.  Each
+    pass compares ints, not tuples, which is about three times faster
+    than one tuple sort on the long runs of ties of a kernel box.
+    """
+    for k in reversed(range(len(points[0]) if points else 0)):
+        points.sort(key=itemgetter(k))
+
+
 def kernel_points_in_box(hom, bound):
     """All l with |l_i| <= bound and phi(l) = identity, lexicographic."""
     out = _kernel_points(hom, [-bound] * hom.n, [bound] * hom.n)
-    out.sort()
+    lex_sort(out)
     return out
 
 
@@ -439,23 +451,21 @@ def _bitset(indices, size):
     return int.from_bytes(buf, "little"), count
 
 
-def _touching(cols, count, low, high, strides, R):
-    """Box indices of c + (m_1, ..., m_n), lazily, for the centers that can touch.
+def _touching(cols, count, lo, hi, strides):
+    """Box indices sum (c_i - lo_i) * stride_i, lazily, of the centers that can touch.
 
-    cols are the count centers as columns; see exact_cover.  A center
-    can touch the window iff lo <= c_i <= hi, lo = -R - M_i and hi = R -
-    m_i, on every axis, and (c_i - lo) // (hi - lo + 1) is 0 exactly
-    there, so the OR of those quotients is 0 exactly for the touching
-    centers; only the columns with a value out of range are tested.
+    cols are the count centers as columns and (lo, hi) is touch_box;
+    see exact_cover.  (c_i - lo_i) // (hi_i - lo_i + 1) is 0 exactly
+    when lo_i <= c_i <= hi_i, so the OR of those quotients is 0 exactly
+    for the touching centers; only the columns with a value out of
+    range are tested.
     """
-    # index of c + m: sum of (c_i + m_i + R + s_i) * stride_i
-    idx = repeat(sum((R + M) * st for M, st in zip(high, strides)), count)
+    idx = repeat(-sum(map(mul, lo, strides)), count)
     away = None
-    for col, m, M, st in zip(cols, low, high, strides):
+    for col, a, b, st in zip(cols, lo, hi, strides):
         idx = map(add, idx, map(mul, col, repeat(st)))
-        lo, hi = -R - M, R - m
-        if min(col, default=lo) < lo or max(col, default=hi) > hi:
-            q = map(floordiv, map(sub, col, repeat(lo)), repeat(hi - lo + 1))
+        if min(col, default=a) < a or max(col, default=b) > b:
+            q = map(floordiv, map(sub, col, repeat(a)), repeat(b - a + 1))
             away = q if away is None else map(or_, away, q)
     return idx if away is None else compress(idx, map(not_, away))
 
@@ -480,18 +490,19 @@ def _repeat(mask, count, step):
 def exact_cover(centers, tile, R):
     """Exact-cover oracle: every point of [-R,R]^n in exactly one translate c + tile.
 
-    With m_i and M_i the least and greatest v_i over the tile and s_i =
-    M_i - m_i, a translate c + tile meets the window only if -R - M_i
-    <= c_i <= R - m_i on every axis, and then all of it lies in the
-    padded box [-R - s_i, R + s_i]^n.  The points of that box are bits
-    of one integer in mixed radix, so the window is a bit mask and the
-    touching centers, stored at the index of c + (m_1, ..., m_n), are
-    another; the member v of every translate is then one shift of the
-    centers by the offset of v - m >= 0.  A center given twice goes
-    into a second bitset too, and is an overlap only if its translate
-    meets the window.  centers and tile are sequences, each read more
-    than once.  SizeError for an empty tile, DimensionError for tile
-    words of mixed length or a center whose length is not theirs.
+    A translate c + tile meets the window only if c lies in (lo, hi) =
+    touch_box(tile, R), and then all of it lies in the padded box
+    [-R - s_i, R + s_i]^n, s_i = hi_i - lo_i - 2R the spread of the
+    tile on axis i.  The points of that box are bits of one integer in
+    mixed radix, so the window is a bit mask and the touching centers,
+    stored at sum (c_i - lo_i) * stride_i, the index of c + m with m_i =
+    R - hi_i the least v_i, are another; the member v of every
+    translate is then one shift of the centers by the offset of v - m
+    >= 0.  A center given twice goes into a second bitset too, and is
+    an overlap only if its translate meets the window.  centers and
+    tile are sequences, each read more than once.  SizeError for an
+    empty tile, DimensionError for tile words of mixed length or a
+    center whose length is not theirs.
     """
     if not tile:
         raise SizeError("tile must be nonempty")
@@ -502,26 +513,27 @@ def exact_cover(centers, tile, R):
         raise DimensionError(f"a center's length is not the tile's n = {n}")
     if R < 0:
         return False
-    low = [min(col) for col in zip(*tile)]
-    high = [max(col) for col in zip(*tile)]
+    lo, hi = touch_box(tile, R)
     strides = []
     size = 1
     win = 1
-    for m, M in zip(low, high):
+    for a, b in zip(lo, hi):
+        s = b - a - 2 * R
         strides.append(size)
-        win = _repeat(win, 2 * R + 1, size) << (M - m) * size
-        size *= 2 * (R + M - m) + 1
+        win = _repeat(win, 2 * R + 1, size) << s * size
+        size *= 2 * (R + s) + 1
     # one column at a time: zip(*centers) would hold an iterator per center
     cols = [list(map(itemgetter(i), centers)) for i in range(n)]
-    base, count = _bitset(_touching(cols, len(centers), low, high, strides, R), size)
+    base, count = _bitset(_touching(cols, len(centers), lo, hi, strides), size)
     twice = 0
     if base.bit_count() != count:
         seen = set()
-        twice, _ = _bitset({i for i in _touching(cols, len(centers), low, high, strides, R)
+        twice, _ = _bitset({i for i in _touching(cols, len(centers), lo, hi, strides)
                             if i in seen or seen.add(i)}, size)
+    minus_m = [b - R for b in hi]
     cover = 0
     for v in tile:
-        off = sum(map(mul, map(sub, v, low), strides))
+        off = sum(map(mul, map(add, v, minus_m), strides))
         t = base << off & win
         if cover & t or twice and twice << off & win:
             return False

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import gcd
 from operator import add
 
 import pytest
@@ -19,13 +20,12 @@ from leecodes import (
     verify_cover,
     verify_nonregular,
 )
-from leecodes.errors import DomainError, StructuralError, WindowError
+from leecodes.errors import DimensionError, DomainError, StructuralError, WindowError
 from leecodes.groups import FiniteAbelianGroup, element_order
-from leecodes.lee import _dense, even_weight_member
+from leecodes.lee import even_weight_member
 from leecodes.nonregular import (
     K1,
     K2,
-    double_cross_support_sparse,
     half_lattice_hom,
     lex_sort,
 )
@@ -50,13 +50,6 @@ def dense_double_cross(n):
                   for w in ((2 * v[0],) + v[1:], (2 * v[0] + 1,) + v[1:]))
 
 
-def test_double_cross_support_size():
-    for n in (2, 3, 5, 6):
-        sparse = double_cross_support_sparse(n)
-        assert len(sparse) == 8 * n
-        assert len({_dense(n, w) for w in sparse}) == 8 * n
-
-
 def dense_verify_nonregular(hom, n):
     """The reference check: phi bijective on the dense 8n-point W and a
     generator among phi(e_2..e_n)."""
@@ -69,9 +62,6 @@ def dense_verify_nonregular(hom, n):
 
 def test_sparse_double_cross_matches_the_dense_reference():
     for n in range(2, 65):
-        sparse = double_cross_support_sparse(n)
-        assert all(i < j for w in sparse for (i, _), (j, _) in zip(w, w[1:]))
-        assert sorted(_dense(n, w) for w in sparse) == dense_double_cross(n)
         G = FiniteAbelianGroup((8 * n,))
         # a map of the right group that is not bijective on W, for every n
         homs = [Homomorphism(G, ((2,),) + tuple((i,) for i in range(2, n + 1)),
@@ -83,6 +73,50 @@ def test_sparse_double_cross_matches_the_dense_reference():
                 (2 * g[0] % (8 * n),) for g in hom.images[1:]), half_image=hom.half_image))
         for hom in homs:
             assert verify_nonregular(hom, n) == dense_verify_nonregular(hom, n), n
+
+
+@st.composite
+def half_lattice_maps(draw):
+    """(hom, n): a map of Z_{8n}, n in 2..40, with phi(e_1) = 2h for its
+    half image h.  Either every image is random, or the double-cross map
+    of n is scaled by a random unit, its images of e_2..e_n permuted
+    (both keep it bijective on W), and maybe one image redrawn."""
+    n = draw(st.integers(2, 40))
+    mod = 8 * n
+    G = FiniteAbelianGroup((mod,))
+    g = st.integers(0, mod - 1)
+    if n & (n - 1) and draw(st.booleans()):
+        hom = construct_double_cross_hom(n)
+        u = draw(g.filter(lambda u: gcd(u, mod) == 1))
+        h = u * hom.half_image[0] % mod
+        rest = [u * x % mod for (x,) in draw(st.permutations(hom.images[1:]))]
+        if draw(st.booleans()):
+            rest[draw(st.integers(0, n - 2))] = draw(g)
+    else:
+        h = draw(g)
+        rest = draw(st.lists(g, min_size=n - 1, max_size=n - 1))
+    images = ((2 * h % mod,),) + tuple((x,) for x in rest)
+    return Homomorphism(G, images, half_image=(h,)), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(half_lattice_maps())
+def test_verify_nonregular_matches_the_dense_reference(case):
+    hom, n = case
+    assert verify_nonregular(hom, n) == dense_verify_nonregular(hom, n)
+
+
+def test_verify_nonregular_errors_and_wrong_groups():
+    hom = construct_double_cross_hom(3)
+    with pytest.raises(StructuralError):  # no half image, checked first
+        verify_nonregular(Homomorphism(hom.group, hom.images), 0)
+    with pytest.raises(DomainError):
+        verify_nonregular(hom, 0)
+    assert not verify_nonregular(hom, 5)  # |G| = 24 != 40, before the dimension check
+    G40 = FiniteAbelianGroup((40,))
+    short = Homomorphism(G40, ((6,), (1,), (13,)), half_image=(3,))
+    with pytest.raises(DimensionError):  # the double cross of Z^5 in Z^3
+        verify_nonregular(short, 5)
 
 
 def test_construct_double_cross_hom_n3():
@@ -359,6 +393,12 @@ def test_code_from_window_tiling_matches_the_set_rule():
     t = ShiftedWindowTiling(R=6, bits="", centers=((0, 0, 1), (1, 0, 1), (2, 0, 0)))
     assert code_from_window_tiling(t) == [(1, 0, 1), (2, 0, 0)]
     assert code_from_window_tiling(ShiftedWindowTiling(R=6, bits="", centers=())) == []
+
+
+def test_code_from_window_tiling_rejects_centers_of_mixed_length():
+    for centers in (((0, 0, 0), (1, 0)), ((0, 0, 0), (1, 0, 0, 0))):
+        with pytest.raises(DimensionError):
+            code_from_window_tiling(ShiftedWindowTiling(R=6, bits="", centers=centers))
 
 
 @st.composite

@@ -44,6 +44,7 @@ from leecodes.tiling import (
     kernel_points_in_box,
     lattice_basis,
     tile_spread,
+    touch_box,
 )
 
 Z5 = FiniteAbelianGroup((5,))
@@ -664,6 +665,26 @@ def covers(draw):
 def test_exact_cover_matches_set_oracle(case):
     centers, tile, R = case
     assert exact_cover(centers, tile, R) == exact_cover_by_set(centers, tile, R)
+
+
+@pytest.mark.parametrize("hom, tile", TILINGS + (
+    (CROSS_HOM, [(x + 4, y - 3) for x, y in lee_sphere(2, 1)]),
+    (Homomorphism(FiniteAbelianGroup((2,)), ((0,), (1,))), [(0, 0), (0, 1)]),))
+def test_exact_cover_at_the_touch_box_faces(hom, tile):
+    # one more center, in the middle of touch_box on every other axis:
+    # on the face lo_i or hi_i its translate meets the window and
+    # overlaps a tile, one step outside it is ignored, also on the
+    # first axis of the domino, which has no spread
+    R = 3
+    lo, hi = touch_box(tile, R)
+    centers = _kernel_points(hom, lo, hi)
+    assert exact_cover(centers, tile, R)
+    mid = [(a + b) // 2 for a, b in zip(lo, hi)]
+    for i in range(len(tile[0])):
+        for x, want in ((lo[i], False), (lo[i] - 1, True), (hi[i], False), (hi[i] + 1, True)):
+            c = tuple(mid[:i] + [x] + mid[i + 1:])
+            got = exact_cover(centers + [c], tile, R)
+            assert got == exact_cover_by_set(centers + [c], tile, R) == want, (i, c)
 
 
 def test_search_not_found_certificate():
