@@ -154,77 +154,50 @@ def construct_dpl4(n, q):
     Images come in blocks of odd first coordinates 2i-1: one block for
     the zero of H, one of length q/4 per order-2 element of H, and one
     of length q/2 per inverse pair keyed by its lexicographically
-    smaller member.  The kernel basis rows are emitted explicitly,
-    checked to have even Lee weight and proved a basis of ker(phi) by
-    lattice_basis.
+    smaller member.  With m_j the block start of the unit delta_j of H's
+    component j, of order t_j, phi(e_1) = (1, 0) and phi(e_{m_j}) =
+    (1, delta_j), so the kernel basis rows are q e_1, t_j (e_1 - e_{m_j})
+    and, for every other phi(e_i) = (a, b), (a - sum b) e_1 +
+    sum_j b_j e_{m_j} - e_i.  Each is checked to have even Lee
+    weight, and lattice_basis proves them a basis of ker(phi).
     """
     if not is_admissible_q(n, q):
         raise DomainError(f"q = {q} is not admissible for n = {n}")
-    h_order = 4 * n // q
-    h_factors = _squarefree_chain(h_order)
+    h_factors = _squarefree_chain(4 * n // q)
     H = FiniteAbelianGroup(h_factors)
     G = FiniteAbelianGroup((q,) + h_factors)
-    s = len(G.factors)
-
-    order2 = []
-    pair_keys = []
-    seen = set()
-    for b in H.elements():
-        if b == H.identity or b in seen:
-            continue
-        nb = H.neg(b)
-        if nb == b:
-            order2.append(b)
-        else:
-            pair_keys.append(b)  # lex-smaller member comes first in elements()
-            seen.add(nb)
-        seen.add(b)
+    neg = {b: H.neg(b) for b in H.elements()}  # in the lex order of elements()
+    order2 = [b for b, nb in neg.items() if any(b) and nb == b]
+    pair_keys = [b for b, nb in neg.items() if b < nb]  # the lex-smaller of b, -b
 
     images = []
     blocks = []  # (h_element, 0-based start, length)
-    for b, length in [(H.identity, q // 4)] + [(b, q // 4) for b in order2] + [
-        (b, q // 2) for b in pair_keys
-    ]:
+    for b, length in ([(H.identity, q // 4)] + [(b, q // 4) for b in order2]
+                      + [(b, q // 2) for b in pair_keys]):
         blocks.append((b, len(images), length))
-        for i in range(1, length + 1):
-            images.append(((2 * i - 1) % q,) + b)
+        images += [((2 * i - 1) % q,) + b for i in range(1, length + 1)]
     if len(images) != n:
-        raise ConstructionError(
-            f"block sizes sum to {len(images)}, expected {n}"
-        )
+        raise ConstructionError(f"block sizes sum to {len(images)}, expected {n}")
     hom = Homomorphism(G, tuple(images))
 
-    # m_j: 1-based index with image (1, 0, ..., 1, ..., 0), j-th coordinate 1
-    m_index = {}
-    for j in range(2, s + 1):
-        delta = tuple(1 if jj == j - 2 else 0 for jj in range(len(h_factors)))
-        for b, start, _length in blocks:
-            if b == delta:
-                m_index[j] = start + 1
-                break
-        else:
-            raise ConstructionError(f"no block for unit element of component {j}")
-
+    # 0-based m_j -> t_j, in component order.  delta_j is always a block
+    # key: of order 2 when t_j = 2, else the lex-smaller member of its
+    # pair since 1 < t_j - 1, so the lookup cannot miss.
+    start_of = {b: start for b, start, _length in blocks}
+    units = {start_of[H.identity[:j] + (1,) + H.identity[j + 1:]]: t
+             for j, t in enumerate(h_factors)}
     rows = []
-    special = set(m_index.values())
-    for i in range(1, n + 1):
+    for i, (a, *b) in enumerate(images):
         vec = [0] * n
-        if i == 1:
+        if i == 0:
             vec[0] = q
-        elif i <= q // 4:
-            vec[0] = 2 * i - 1
-            vec[i - 1] = -1
-        elif i in special:
-            j = next(j for j, m in m_index.items() if m == i)
-            t = G.factors[j - 1]
-            vec[0] = t
-            vec[i - 1] = -t
+        elif i in units:
+            vec[0], vec[i] = units[i], -units[i]
         else:
-            b = images[i - 1]
-            vec[0] = b[0] - sum(b[1:])
-            for j in range(2, s + 1):
-                vec[m_index[j] - 1] += b[j - 1]
-            vec[i - 1] -= 1
+            vec[0] = a - sum(b)
+            for m, b_j in zip(units, b):
+                vec[m] += b_j
+            vec[i] -= 1
         rows.append(tuple(vec))
 
     for row in rows:

@@ -32,6 +32,9 @@ def construct_double_cross_hom(n):
     """The Z_{8n} homomorphism bijective on the 8n-point double-cross W.
 
     Requires n >= 2 and n not a power of 2 (write n = 2^t(2k+1), k > 0).
+    With low = 2^t and odd = 2k+1 the images, in index order and mod 8n,
+    are 2*odd, then (4i-2)*odd for i = 2..low, then for each j = 1..k a
+    run of 2*low images j + 4i*odd, i = 0..2*low-1; the half image is odd.
     """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
@@ -41,16 +44,10 @@ def construct_double_cross_hom(n):
         raise DomainError(f"n = {n} is a power of 2; no such tiling is known")
     mod = 8 * n
     G = FiniteAbelianGroup((mod,))
-    images = [None] * n
-    images[0] = ((2 * odd) % mod,)
-    for i in range(2, low + 1):
-        images[i - 1] = (((4 * i - 2) * odd) % mod,)
+    images = [2 * odd] + [(4 * i - 2) * odd for i in range(2, low + 1)]
     for j in range(1, odd // 2 + 1):
-        c = low + (j - 1) * 2 * low
-        for i in range(1, 2 * low + 1):
-            images[i + c - 1] = ((j + 4 * (i - 1) * odd) % mod,)
-    assert all(g is not None for g in images)
-    return Homomorphism(G, tuple(images), half_image=(odd % mod,))
+        images += [j + 4 * i * odd for i in range(2 * low)]
+    return Homomorphism(G, tuple((g % mod,) for g in images), half_image=(odd % mod,))
 
 
 def half_lattice_hom(hom):
@@ -111,6 +108,8 @@ def component_index_n3(center):
     first axis): K1 iff (x_2 + x_3) mod 6 in {0, 1, 5}, otherwise K2
     with component index floor((x_2 + x_3 - 2) / 6).
     """
+    if len(center) != 3:
+        raise DimensionError(f"center {center} does not have 3 coordinates")
     s = center[1] + center[2]
     if s % 6 in (0, 1, 5):
         return (K1, None)

@@ -653,9 +653,8 @@ def _search_group(G, start, coeffs, budget, counts, failures):
     elems = list(G.elements())
     first = [lex_rank(g, G) - 1 for g in aut_orbit_representatives(G)]
     every = range(N)
-    # the index of e is the sum of e_j * P_j
-    places = [lex_rank(G.identity[:j] + (1,) + G.identity[j + 1:], G) - 1
-              for j in range(len(factors))]
+    # the index of e is the sum of e_j * P_j, P_j = t_{j+1} * ... * t_s
+    places = [prod(factors[j + 1:]) for j in range(len(factors))]
     memo = {}
     get = memo.get
 
@@ -734,6 +733,8 @@ def search_lattice_tiling(V, budget=DEFAULT_BUDGET):
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     W = _normalize_tile(V)
+    if len(W) < len(V):
+        raise DomainError("tile has a repeated word")
     # words sorted by last nonzero coordinate (-1 for the origin);
     # start[d] is the first word whose last nonzero coordinate is >= d
     last = {w: max((i for i, x in enumerate(w) if x), default=-1) for w in W}
@@ -744,14 +745,15 @@ def search_lattice_tiling(V, budget=DEFAULT_BUDGET):
     groups_tried = 0
     failures = []
 
+    status, hom = NOT_FOUND, None
     for G in enumerate_abelian_groups(len(W)):
         groups_tried += 1
         res = _search_group(G, start, coeffs, budget, counts, failures)
         if res == BUDGET_EXCEEDED:
-            return SearchResult(BUDGET_EXCEEDED, None, groups_tried, counts[1],
-                                counts[0], tuple(failures))
+            status = BUDGET_EXCEEDED
+            break
         if res is not None:
-            return SearchResult(FOUND, res, groups_tried, counts[1], counts[0],
-                                tuple(failures))
-    return SearchResult(NOT_FOUND, None, groups_tried, counts[1], counts[0],
+            status, hom = FOUND, res
+            break
+    return SearchResult(status, hom, groups_tried, counts[1], counts[0],
                         tuple(failures))

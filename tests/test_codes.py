@@ -26,15 +26,19 @@ from leecodes.codes import (
     EVEN_WEIGHT,
     IDENTITY,
     AnticodeSpec,
+    LinearLeeCode,
     _squarefree_chain,
 )
 from leecodes.errors import (
+    ConstructionError,
     DataFormatError,
     DomainError,
     MembershipError,
     PeriodicityError,
 )
-from leecodes.tiling import apply_hom, det_bareiss, kernel_points_in_box
+from leecodes.groups import FiniteAbelianGroup
+from leecodes.tiling import (Homomorphism, apply_hom, det_bareiss, kernel_points_in_box,
+                             lattice_basis)
 
 
 def admissible_oracle(n, q):
@@ -133,6 +137,77 @@ def test_construction_examples():
     assert code.hom.group.factors == (12, 2)
     code = construct_dpl4(9, 12)
     assert code.hom.group.factors == (12, 3)
+
+
+def reference_dpl4(n, q):
+    """construct_dpl4 with the basis rows in four branches and the unit
+    blocks found by a scan: the builder before the one row rule."""
+    if not is_admissible_q(n, q):
+        raise DomainError(f"q = {q} is not admissible for n = {n}")
+    h_factors = _squarefree_chain(4 * n // q)
+    H = FiniteAbelianGroup(h_factors)
+    G = FiniteAbelianGroup((q,) + h_factors)
+    s = len(G.factors)
+    order2, pair_keys, seen = [], [], set()
+    for b in H.elements():
+        if b == H.identity or b in seen:
+            continue
+        nb = H.neg(b)
+        if nb == b:
+            order2.append(b)
+        else:
+            pair_keys.append(b)
+            seen.add(nb)
+        seen.add(b)
+    images, blocks = [], []
+    for b, length in ([(H.identity, q // 4)] + [(b, q // 4) for b in order2]
+                      + [(b, q // 2) for b in pair_keys]):
+        blocks.append((b, len(images), length))
+        for i in range(1, length + 1):
+            images.append(((2 * i - 1) % q,) + b)
+    assert len(images) == n
+    hom = Homomorphism(G, tuple(images))
+    m_index = {}  # 1-based index whose image is (1, delta_j)
+    for j in range(2, s + 1):
+        delta = tuple(1 if jj == j - 2 else 0 for jj in range(len(h_factors)))
+        for b, start, _length in blocks:
+            if b == delta:
+                m_index[j] = start + 1
+                break
+        else:
+            raise ConstructionError(f"no block for unit element of component {j}")
+    rows = []
+    special = set(m_index.values())
+    for i in range(1, n + 1):
+        vec = [0] * n
+        if i == 1:
+            vec[0] = q
+        elif i <= q // 4:
+            vec[0] = 2 * i - 1
+            vec[i - 1] = -1
+        elif i in special:
+            j = next(j for j, m in m_index.items() if m == i)
+            t = G.factors[j - 1]
+            vec[0] = t
+            vec[i - 1] = -t
+        else:
+            b = images[i - 1]
+            vec[0] = b[0] - sum(b[1:])
+            for j in range(2, s + 1):
+                vec[m_index[j] - 1] += b[j - 1]
+            vec[i - 1] -= 1
+        rows.append(tuple(vec))
+    assert all(lee_weight(row) % 2 == 0 for row in rows)
+    return LinearLeeCode(anticode=AnticodeSpec(kind=DOUBLE_SPHERE, n=n, r=1, axis=1),
+                         hom=hom, basis=lattice_basis(hom, rows), blocks=tuple(blocks))
+
+
+def test_construct_dpl4_matches_the_reference():
+    pairs = [(n, q) for n in range(1, 65) for q in range(4, 4 * n + 1, 4)
+             if is_admissible_q(n, q)]
+    assert len(pairs) == 145
+    for n, q in pairs:
+        assert code_to_json(construct_dpl4(n, q)) == code_to_json(reference_dpl4(n, q)), (n, q)
 
 
 def test_construct_dpl4_rejects_inadmissible():

@@ -133,6 +133,30 @@ def test_construct_double_cross_hom_n6():
     assert hom.images == ((6,), (18,), (1,), (13,), (25,), (37,))
 
 
+def reference_double_cross_hom(n):
+    """construct_double_cross_hom filling its image list by index
+    arithmetic: the builder before the images were listed in order."""
+    low = n & -n
+    odd = n // low
+    mod = 8 * n
+    images = [None] * n
+    images[0] = ((2 * odd) % mod,)
+    for i in range(2, low + 1):
+        images[i - 1] = (((4 * i - 2) * odd) % mod,)
+    for j in range(1, odd // 2 + 1):
+        c = low + (j - 1) * 2 * low
+        for i in range(1, 2 * low + 1):
+            images[i + c - 1] = ((j + 4 * (i - 1) * odd) % mod,)
+    assert all(g is not None for g in images)
+    return Homomorphism(FiniteAbelianGroup((mod,)), tuple(images), half_image=(odd % mod,))
+
+
+def test_construct_double_cross_hom_matches_the_reference():
+    for n in range(2, 501):
+        if n & (n - 1):
+            assert construct_double_cross_hom(n) == reference_double_cross_hom(n), n
+
+
 def test_construct_double_cross_hom_rejects():
     with pytest.raises(DomainError):
         construct_double_cross_hom(4)  # power of two
@@ -192,6 +216,12 @@ def test_component_rule_examples():
     assert component_index_n3((0, 7, -1)) == (K1, None)
     assert component_index_n3((0, 2, 0)) == (K2, 0)
     assert component_index_n3((0, -3, 0)) == (K2, -1)
+
+
+def test_component_rule_rejects_a_center_of_the_wrong_length():
+    for center in ((0, 1), (0, 1, 2, 3)):
+        with pytest.raises(DimensionError):
+            component_index_n3(center)
 
 
 def test_component_rule_ignores_first_axis():

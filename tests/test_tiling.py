@@ -750,6 +750,14 @@ def test_search_tile_of_z0():
         search_lattice_tiling([()])
 
 
+def test_search_tile_with_a_repeated_word():
+    # the set {0, 1} tiles Z by Z_2; the list of three words is no tile
+    assert search_lattice_tiling([(0,), (1,)]).status == FOUND
+    for V in ([(0,), (0,), (1,)], [(0, 0), (1, 0), (0, 0)]):
+        with pytest.raises(DomainError):
+            search_lattice_tiling(V)
+
+
 # nodes visited with the first image pinned only in a cyclic group of
 # prime order -> nodes with one first image per Aut(G)-orbit
 ORBIT_CUT_NODES = {6: 4, 15: 9, 386: 77, 42: 26, 126376: 16057, 8094: 971, 22250: 1430}
