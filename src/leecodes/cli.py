@@ -45,8 +45,8 @@ class UsageError(Exception):
     """An argument value refused before any work; run prints it and exits 64."""
 
 
-def _emit(args, human, payload=None):
-    if getattr(args, "json", False) and payload is not None:
+def _emit(args, human, payload):
+    if args.json:
         print(json.dumps(payload, separators=(",", ":")))
     else:
         print(human)
@@ -78,6 +78,14 @@ def _write_out(path, text):
         fh.write(text + "\n")
 
 
+def _emit_code(args, code, name):
+    if args.out:
+        _write_out(args.out, codes.code_to_json(code))
+    _emit(args, f"constructed {name} code, group {list(code.hom.group.factors)}",
+          codes.code_to_dict(code))
+    return EXIT_OK
+
+
 def cmd_construct(args):
     _check_basis(args.n)
     try:
@@ -85,22 +93,12 @@ def cmd_construct(args):
     except DomainError as exc:
         _emit(args, f"inadmissible: {exc}", {"error": str(exc)})
         return EXIT_NEGATIVE
-    payload = codes.code_to_dict(code)
-    if args.out:
-        _write_out(args.out, codes.code_to_json(code))
-    _emit(args, f"constructed DPL({args.n},4) code, group {list(code.hom.group.factors)}",
-          payload)
-    return EXIT_OK
+    return _emit_code(args, code, f"DPL({args.n},4)")
 
 
 def cmd_pl1(args):
     _check_basis(args.n)
-    code = codes.construct_pl1(args.n)
-    if args.out:
-        _write_out(args.out, codes.code_to_json(code))
-    _emit(args, f"constructed PL({args.n},1) code, group {list(code.hom.group.factors)}",
-          codes.code_to_dict(code))
-    return EXIT_OK
+    return _emit_code(args, codes.construct_pl1(args.n), f"PL({args.n},1)")
 
 
 def cmd_admissible(args):
@@ -154,7 +152,8 @@ def _check_basis(n):
 def cmd_verify(args):
     code = _load_code(args.code)
     V = code.anticode.points()
-    _check_window(args.window, tiling.tile_spread(V), code.n)
+    lo, hi = tiling.touch_box(V, 0)  # hi_i - lo_i = max v_i - min v_i, axis i's spread
+    _check_window(args.window, max(b - a for a, b in zip(lo, hi)), code.n)
     # the load proved phi bijective on V
     cover = tiling.verify_window_tiling(code.hom, V, args.window)
     d = code.anticode.diameter + 1

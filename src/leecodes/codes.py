@@ -30,6 +30,7 @@ from .lee import (
     double_sphere_size,
     double_sphere_sparse,
     even_weight_member,
+    even_weight_members,
     lee_sphere,
     lee_sphere_size,
     lee_sphere_sparse,
@@ -42,6 +43,7 @@ from .tiling import (
     apply_hom,
     inverse_on,
     kernel_basis,
+    kernel_points_in_box,
     lattice_basis,
     period,
 )
@@ -158,8 +160,8 @@ def construct_dpl4(n, q):
     component j, of order t_j, phi(e_1) = (1, 0) and phi(e_{m_j}) =
     (1, delta_j), so the kernel basis rows are q e_1, t_j (e_1 - e_{m_j})
     and, for every other phi(e_i) = (a, b), (a - sum b) e_1 +
-    sum_j b_j e_{m_j} - e_i.  Each is checked to have even Lee
-    weight, and lattice_basis proves them a basis of ker(phi).
+    sum_j b_j e_{m_j} - e_i.  Each is checked to have an even coordinate
+    sum, hence even Lee weight, and lattice_basis proves them a basis.
     """
     if not is_admissible_q(n, q):
         raise DomainError(f"q = {q} is not admissible for n = {n}")
@@ -201,7 +203,7 @@ def construct_dpl4(n, q):
         rows.append(tuple(vec))
 
     for row in rows:
-        if lee_weight(row) % 2 != 0:
+        if sum(row) % 2 != 0:
             raise ConstructionError(f"basis row {row} has odd Lee weight")
     basis = lattice_basis(hom, rows)
 
@@ -253,25 +255,29 @@ def codewords_mod_q(code):
     if code.q is None:
         raise DomainError("code has no modulus; restrict it first")
     q = code.q
-    return sorted(
-        tuple(a % q for a in apply_transversal(code, x))
-        for x in _kernel_points(code.hom, [0] * code.n, [q - 1] * code.n)
-    )
+    pts = _kernel_points(code.hom, [0] * code.n, [q - 1] * code.n)
+    if code.anticode.kind == SPHERE:
+        return sorted(pts)
+    return sorted(tuple(a % q for a in w)
+                  for w in even_weight_members(pts, code.anticode.axis))
 
 
 def codewords_in_window(code, R):
     """All codewords inside [-R,R]^n, sorted lexicographically.
 
-    The codeword of kernel point l is l or l + e_axis, so the l with
-    l_axis = -R - 1 are enumerated too; under the identity transversal
-    their codewords fall outside the window and are filtered out.
+    Under the identity transversal they are the window's kernel points.
+    The even-weight member of kernel point l is l or l + e_axis, so the
+    l with l_axis = -R - 1 are enumerated too and the members outside
+    the window dropped.
     """
+    if code.anticode.kind == SPHERE:
+        return kernel_points_in_box(code.hom, R)
     n = code.n
     a = code.anticode.axis - 1
     lo = [-R] * n
     lo[a] = -R - 1
-    cws = (apply_transversal(code, l) for l in _kernel_points(code.hom, lo, [R] * n))
-    return sorted({c for c in cws if -R <= c[a] <= R})
+    cws = even_weight_members(_kernel_points(code.hom, lo, [R] * n), a + 1)
+    return [c for c in cws if -R <= c[a] <= R]
 
 
 def min_distance_window(code, R):

@@ -21,7 +21,9 @@ class FiniteAbelianGroup:
     factors: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(int(t) for t in self.factors))
+        object.__setattr__(self, "factors", tuple(self.factors))
+        if any(type(t) is not int for t in self.factors):
+            raise DomainError(f"cyclic factors must be integers: {self.factors}")
         if any(t < 2 for t in self.factors):
             raise DomainError(f"cyclic factors must be >= 2: {self.factors}")
 
@@ -35,7 +37,7 @@ class FiniteAbelianGroup:
 
     def contains(self, a):
         return len(a) == len(self.factors) and all(
-            0 <= x < t for x, t in zip(a, self.factors)
+            type(x) is int and 0 <= x < t for x, t in zip(a, self.factors)
         )
 
     def add(self, a, b):
@@ -53,7 +55,7 @@ def element_order(g, G):
     """Least m >= 1 with m*g = identity."""
     if not G.contains(g):
         raise StructuralError(f"{g} is not an element of {G.factors}")
-    return lcm(*(t // gcd(t, x) for t, x in zip(G.factors, g))) if G.factors else 1
+    return lcm(*(t // gcd(t, x) for t, x in zip(G.factors, g)))
 
 
 def factorize(m):

@@ -9,9 +9,9 @@ unordered; the dense lists are sorted views of those.
 
 from __future__ import annotations
 
-from itertools import combinations, compress, count, product
+from itertools import combinations, compress, count, groupby, product, repeat
 from math import comb
-from operator import mul
+from operator import add, and_, itemgetter, mul, not_
 
 from .errors import DimensionError, DomainError
 
@@ -39,6 +39,24 @@ def even_weight_member(w, axis=1):
     if sum(w) % 2 == 0:
         return w
     return w[:axis - 1] + (w[axis - 1] + 1,) + w[axis:]
+
+
+def even_weight_members(words, axis=1):
+    """sorted({even_weight_member(w, axis) for w in words}) for a sequence of
+    words of one length.  Split by the parity of the coordinate sum, a
+    sorted input gives two sorted runs, the even words and the odd ones
+    moved by e_axis, which one sort merges in linear time; distinct
+    words can move onto one member, so equal neighbours are dropped.
+    """
+    odd = list(map(and_, map(sum, words), repeat(1)))
+    members = list(compress(words, map(not_, odd)))
+    up = list(compress(words, odd))
+    if up:
+        cols = [map(itemgetter(i), up) for i in range(len(up[0]))]
+        cols[axis - 1] = map(add, cols[axis - 1], repeat(1))
+        members += zip(*cols)
+    members.sort()
+    return list(map(itemgetter(0), groupby(members)))
 
 
 def nonzeros(w):

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import compress, groupby, repeat
-from operator import add, and_, itemgetter, not_
 
 from .errors import DimensionError, DomainError, StructuralError, WindowError
 from .groups import FiniteAbelianGroup, element_order
-from .lee import double_sphere, double_sphere_sparse
+from .lee import double_sphere, double_sphere_sparse, even_weight_members
 from .tiling import (Homomorphism, KernelBasis, _kernel_points, apply_hom_sparse,
                      exact_cover, lattice_basis, lex_sort, touch_box)
 
@@ -183,24 +181,12 @@ def verify_cover(tiling):
 def code_from_window_tiling(tiling):
     """One codeword per tile: the even-Lee-weight member of {c, c + e_1}, sorted.
 
-    The rule of lee.even_weight_member, applied in bulk: the centers
-    with an odd coordinate sum gain 1 in the first coordinate.  Split
-    by that parity, a sorted input gives two sorted runs, the even
-    centers and the bumped odd ones, which one sort merges in linear
-    time (any input order still sorts, only slower).  Distinct centers
-    can bump onto one word, so equal neighbours are dropped.
-    DimensionError unless every center has the first one's length.
+    lee.even_weight_members of the centers; a sorted input, as
+    shifted_tiling_n3 gives, merges in linear time.  DimensionError
+    unless every center has the first one's length.
     """
     centers = tiling.centers
-    if not centers:
-        return []
-    n = len(centers[0])
+    n = len(centers[0]) if centers else 0
     if not set(map(len, centers)) <= {n}:
         raise DimensionError(f"a center's length is not the first one's n = {n}")
-    odd = list(map(and_, map(sum, centers), repeat(1)))
-    words = list(compress(centers, map(not_, odd)))
-    up = list(compress(centers, odd))
-    words += zip(map(add, map(itemgetter(0), up), repeat(1)),
-                 *(map(itemgetter(i), up) for i in range(1, n)))
-    words.sort()
-    return list(map(itemgetter(0), groupby(words)))
+    return even_weight_members(centers)

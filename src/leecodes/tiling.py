@@ -136,11 +136,11 @@ def apply_hom_sparse(hom, items):
 
 
 def inverse_on(hom, words):
-    """phi's inverse {phi(w): w} on |G| words, or None if phi collides on them.
+    """phi's inverse {phi(w): w} on |G| sparse words, or None if phi collides on them.
 
-    Each word is dense (n integers) or sparse (the (index, value) pairs
-    `nonzeros` gives, indices ascending); the values are the words as
-    given.  The empty word is the origin in either form.
+    Each word is in the sparse form `nonzeros` gives, its (index,
+    value) pairs with indices ascending, so the empty word is the
+    origin; the values are the words as given.
     """
     words = list(words)
     if len(words) != hom.group.order:
@@ -148,17 +148,9 @@ def inverse_on(hom, words):
     n = hom.n
     inv = {}
     for w in words:
-        if not w:
-            items = w
-        elif type(w[0]) is tuple:
-            if not 0 <= w[0][0] <= w[-1][0] < n:
-                raise DimensionError(f"sparse word {w} has an index outside 0..{n - 1}")
-            items = w
-        elif len(w) == n:
-            items = nonzeros(w)
-        else:
-            raise DimensionError(f"word length {len(w)} != {n}")
-        g = apply_hom_sparse(hom, items)
+        if w and not 0 <= w[0][0] <= w[-1][0] < n:
+            raise DimensionError(f"sparse word {w} has an index outside 0..{n - 1}")
+        g = apply_hom_sparse(hom, w)
         if g in inv:
             return None
         inv[g] = w
@@ -166,8 +158,12 @@ def inverse_on(hom, words):
 
 
 def is_bijection_on(hom, words):
-    """True iff phi restricted to words is injective (hence onto G)."""
-    return inverse_on(hom, words) is not None
+    """True iff phi is injective (hence onto G) on |G| dense words of length n."""
+    words = list(words)
+    for w in words:
+        if len(w) != hom.n:
+            raise DimensionError(f"word length {len(w)} != {hom.n}")
+    return inverse_on(hom, map(nonzeros, words)) is not None
 
 
 # --- exact integer elimination -------------------------------------------
@@ -302,7 +298,7 @@ def abs_det(rows):
 
 
 def _kernel_hnf(hom):
-    """Lower-triangular Hermite basis of ker(phi), each row checked to lie in it.
+    """Lower-triangular Hermite basis of ker(phi).
 
     The relation rows [phi(e_i) | e_i], with e_i in column n - 1 - i, and
     one t_j-multiple row per group component are reduced in one Hermite
@@ -323,9 +319,7 @@ def _kernel_hnf(hom):
     kern = [row[s:] for row in _hnf_rows(rows) if not any(row[:s]) and any(row[s:])]
     if len(kern) != n:
         raise ConstructionError(f"kernel rank {len(kern)} != {n}")
-    basis = tuple(tuple(row[::-1]) for row in reversed(kern))
-    _check_in_kernel(hom, basis)
-    return basis
+    return tuple(tuple(row[::-1]) for row in reversed(kern))
 
 
 def _check_in_kernel(hom, rows):
@@ -352,17 +346,14 @@ def lattice_basis(hom, rows):
 
 
 def kernel_basis(hom):
-    """Canonical lower-triangular basis of ker(phi); |det| = |G| is its diagonal."""
-    basis = _kernel_hnf(hom)
-    det = prod(basis[i][i] for i in range(hom.n))
-    if det != hom.group.order:
-        raise ConstructionError(f"|det| = {det} != |G| = {hom.group.order}")
-    return KernelBasis(rows=basis, det_abs=det)
+    """Canonical lower-triangular basis of ker(phi); lattice_basis proves it
+    (ConstructionError unless phi is onto G, as |det| = |phi(Z^n)|)."""
+    return lattice_basis(hom, _kernel_hnf(hom))
 
 
 def period(hom):
     """Tiling period: lcm of the orders of the generator images."""
-    return lcm(*(element_order(g, hom.group) for g in hom.images)) if hom.images else 1
+    return lcm(*(element_order(g, hom.group) for g in hom.images))
 
 
 def _kernel_points(hom, lo, hi):
@@ -385,6 +376,7 @@ def _kernel_points(hom, lo, hi):
     if n == 0:
         return [()]
     B = _kernel_hnf(hom)
+    _check_in_kernel(hom, B)
     d0, lo0, hi0 = B[0][0], lo[0], hi[0]
     if n == 1:
         return [(y,) for y in range(lo0 + -lo0 % d0, hi0 + 1, d0)]
@@ -539,11 +531,6 @@ def exact_cover(centers, tile, R):
             return False
         cover |= t
     return cover == win
-
-
-def tile_spread(V):
-    """Largest coordinate spread max v_i - min v_i of a tile over all axes."""
-    return max(max(col) - min(col) for col in zip(*V))
 
 
 def touch_box(V, R):

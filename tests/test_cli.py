@@ -514,6 +514,16 @@ def test_window_bounds(code_file, tmp_path, capsys, monkeypatch):
     assert run(["tile", "--code", code_file, "--window", "1"]) == EXIT_OK
 
 
+def test_verify_bound_uses_the_anticode_spread(tmp_path, monkeypatch):
+    # PL(2,1): the radius-1 sphere spreads 2 on every axis, so R = 2
+    # scans (2 * (2 + 2) + 1)^2 points and R = 3 scans 11^2
+    pl = tmp_path / "pl2.json"
+    pl.write_text(code_to_json(construct_pl1(2)))
+    monkeypatch.setattr(cli, "MAX_WINDOW_POINTS", 9 ** 2)
+    assert run(["verify", "--code", str(pl), "--window", "2"]) == EXIT_OK
+    assert run(["verify", "--code", str(pl), "--window", "3"]) == EXIT_USAGE
+
+
 def _fields(node, path=()):
     """(path, value) of every field below node, depth first."""
     if isinstance(node, dict):

@@ -4,6 +4,8 @@ from itertools import product
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import factorint
 
 from leecodes import (
@@ -25,9 +27,11 @@ from leecodes.codes import (
     DOUBLE_SPHERE,
     EVEN_WEIGHT,
     IDENTITY,
+    SPHERE,
     AnticodeSpec,
     LinearLeeCode,
     _squarefree_chain,
+    apply_transversal,
 )
 from leecodes.errors import (
     ConstructionError,
@@ -37,8 +41,8 @@ from leecodes.errors import (
     PeriodicityError,
 )
 from leecodes.groups import FiniteAbelianGroup
-from leecodes.tiling import (Homomorphism, apply_hom, det_bareiss, kernel_points_in_box,
-                             lattice_basis)
+from leecodes.tiling import (Homomorphism, KernelBasis, _kernel_hnf, _kernel_points, abs_det,
+                             apply_hom, det_bareiss, kernel_points_in_box, lattice_basis)
 
 
 def admissible_oracle(n, q):
@@ -316,6 +320,72 @@ def test_codewords_in_window_matches_box_filter(code):
             if all(-R <= x <= R for x in c)
         })
         assert codewords_in_window(code, R) == want
+
+
+def per_point_codewords_mod_q(code):
+    """Reference: the transversal of each kernel point of [0, q-1]^n, reduced, sorted."""
+    q = code.q
+    return sorted(tuple(a % q for a in apply_transversal(code, x))
+                  for x in _kernel_points(code.hom, [0] * code.n, [q - 1] * code.n))
+
+
+def per_point_codewords_in_window(code, R):
+    """Reference: the set of the transversals of the kernel points with
+    l_axis in [-R - 1, R] and the other l_i in [-R, R], inside the window."""
+    a = code.anticode.axis - 1
+    lo = [-R] * code.n
+    lo[a] = -R - 1
+    cws = (apply_transversal(code, l) for l in _kernel_points(code.hom, lo, [R] * code.n))
+    return sorted({c for c in cws if -R <= c[a] <= R})
+
+
+REFERENCE_CODES = ([_code(*c) for c in CERTIFY_CODES]
+                   + [construct_dpl4(4, 4), construct_dpl4(4, 16), construct_dpl4(5, 20),
+                      construct_pl1(5)]
+                   + [_odd_kernel_code(n, axis) for n in (2, 3, 4) for axis in range(1, n + 1)])
+
+
+@pytest.mark.parametrize("code", REFERENCE_CODES, ids=range(len(REFERENCE_CODES)))
+def test_codewords_match_the_per_point_rule(code):
+    for R in (1, 2, 3, 4):
+        assert codewords_in_window(code, R) == per_point_codewords_in_window(code, R), R
+    p = period(code.hom)
+    for q in (p, 2 * p) if p ** code.n <= 10 ** 4 else (p,):
+        zq = restrict_to_zq(code, q)
+        assert codewords_mod_q(zq) == per_point_codewords_mod_q(zq), q
+
+
+@st.composite
+def random_codes(draw):
+    """phi: Z^n -> G for n <= 3 and G of one or two cyclic factors of size
+    2..6, with random images, so phi need not tile; under an anticode of
+    either kind, on any axis, and with its Hermite kernel basis."""
+    n = draw(st.integers(1, 3))
+    factors = tuple(draw(st.lists(st.integers(2, 6), min_size=1, max_size=2)))
+    image = st.tuples(*(st.integers(0, t - 1) for t in factors))
+    hom = Homomorphism(FiniteAbelianGroup(factors),
+                       draw(st.lists(image, min_size=n, max_size=n)))
+    anticode = AnticodeSpec(draw(st.sampled_from([SPHERE, DOUBLE_SPHERE])), n, 1,
+                            draw(st.integers(1, n)))
+    rows = _kernel_hnf(hom)
+    return LinearLeeCode(anticode, hom, KernelBasis(rows, abs_det(rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_codes(), st.integers(1, 3), st.integers(1, 2))
+def test_codewords_match_the_per_point_rule_on_random_maps(code, R, k):
+    assert codewords_in_window(code, R) == per_point_codewords_in_window(code, R)
+    zq = restrict_to_zq(code, k * period(code.hom))
+    want = per_point_codewords_mod_q(zq)
+    e = [0] * code.n
+    e[code.anticode.axis - 1] = 1
+    if code.anticode.kind == DOUBLE_SPHERE and not any(apply_hom(code.hom, e)):
+        # e_axis in ker(phi), which no code has (phi maps 0 and e_axis of
+        # its anticode apart): the kernel points l and l + e_axis share a
+        # member, which the per-point rule lists twice
+        assert set(codewords_mod_q(zq)) == set(want)
+    else:
+        assert codewords_mod_q(zq) == want
 
 
 def test_min_distance_examples():

@@ -5,6 +5,7 @@ from sympy import factorint
 
 from leecodes import (
     FiniteAbelianGroup,
+    Homomorphism,
     element_order,
     enumerate_abelian_groups,
     lex_rank,
@@ -111,6 +112,25 @@ def test_trivial_group():
     assert G.identity == ()
     assert element_order((), G) == 1
     assert [G.factors for G in enumerate_abelian_groups(1)] == [()]
+
+
+def test_factors_and_coordinates_must_be_ints():
+    # int() would truncate 2.5 and parse "3"
+    for factors in ((2.5, "3"), (2.0,), ("3",), (True, 2)):
+        with pytest.raises(DomainError, match="integers"):
+            FiniteAbelianGroup(factors)
+    G = FiniteAbelianGroup((5,))
+    for g in ((1.5,), (1.0,), ("1",), (True,)):
+        assert not G.contains(g)
+        with pytest.raises(StructuralError):
+            element_order(g, G)
+        with pytest.raises(StructuralError):
+            lex_rank(g, G)
+    # the packing of images never sees the float
+    with pytest.raises(StructuralError):
+        Homomorphism(G, ((1.5,),))
+    with pytest.raises(StructuralError):
+        Homomorphism(FiniteAbelianGroup((8,)), ((2,),), half_image=(1.0,))
 
 
 def _times(m, g, G):

@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leecodes import (
     double_sphere,
@@ -14,6 +16,7 @@ from leecodes.errors import DimensionError, DomainError
 from leecodes.lee import (
     double_sphere_sparse,
     even_weight_member,
+    even_weight_members,
     format_word,
     format_words,
     lee_sphere_size,
@@ -170,6 +173,37 @@ def test_even_weight_member():
             m = even_weight_member(w, axis)
             assert lee_weight(m) % 2 == 0
             assert lee_distance(m, w) <= 1 and m[axis - 1] - w[axis - 1] in (0, 1)
+
+
+@st.composite
+def words_and_axis(draw):
+    """Words of one length n in 1..4, possibly empty, sorted or not, with
+    repeats, plus some w - e_axis of even-sum words w: their coordinate
+    sum is odd, so their member is w; and an axis in 1..n."""
+    n = draw(st.integers(1, 4))
+    axis = draw(st.integers(1, n))
+    words = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=40))
+    k = axis - 1
+    partners = [w[:k] + (w[k] - 1,) + w[k + 1:] for w in words if sum(w) % 2 == 0]
+    words += draw(st.lists(st.sampled_from(partners), max_size=20)) if partners else []
+    words = sorted(words) if draw(st.booleans()) else draw(st.permutations(words))
+    return words, axis
+
+
+@settings(max_examples=400, deadline=None)
+@given(words_and_axis())
+def test_even_weight_members_is_the_set_of_members(case):
+    words, axis = case
+    want = sorted({even_weight_member(w, axis) for w in words})
+    assert even_weight_members(words, axis) == want
+
+
+def test_even_weight_members_examples():
+    assert even_weight_members([]) == []
+    assert even_weight_members([()]) == [()]
+    # (1, 0) moves onto (2, 0); on axis 2 it moves to (1, 1)
+    assert even_weight_members([(2, 0), (1, 0), (0, 0)]) == [(0, 0), (2, 0)]
+    assert even_weight_members([(2, 0), (1, 0), (0, 0)], 2) == [(0, 0), (1, 1), (2, 0)]
 
 
 def test_nonzeros():

@@ -1,5 +1,6 @@
 import dataclasses
 from itertools import product
+from math import prod
 from operator import add
 from unittest.mock import patch
 
@@ -26,13 +27,14 @@ from leecodes.errors import (
     SizeError,
     StructuralError,
 )
-from leecodes.groups import aut_orbit_representatives
+from leecodes.groups import aut_orbit_representatives, enumerate_abelian_groups
 from leecodes.lee import lee_sphere_sparse, nonzeros
 from leecodes.nonregular import construct_double_cross_hom, half_lattice_hom
 from leecodes.tiling import (
     BUDGET_EXCEEDED,
     FOUND,
     NOT_FOUND,
+    KernelBasis,
     abs_det,
     apply_hom,
     apply_hom_sparse,
@@ -43,7 +45,6 @@ from leecodes.tiling import (
     inverse_on,
     kernel_points_in_box,
     lattice_basis,
-    tile_spread,
     touch_box,
 )
 
@@ -142,23 +143,114 @@ def test_is_bijection_on_dimension_check():
 
 
 def test_inverse_on_inverts_phi_on_the_tile():
-    inv = inverse_on(CROSS_HOM, lee_sphere(2, 1))
+    inv = inverse_on(CROSS_HOM, map(nonzeros, lee_sphere(2, 1)))
     assert sorted(inv) == [(g,) for g in range(5)]
-    assert all(apply_hom(CROSS_HOM, w) == g for g, w in inv.items())
+    assert all(apply_hom_sparse(CROSS_HOM, w) == g for g, w in inv.items())
 
 
 def test_inverse_on_sparse_words():
     inv = inverse_on(CROSS_HOM, lee_sphere_sparse(2, 1))
-    assert inv == {g: nonzeros(w) for g, w in inverse_on(CROSS_HOM, lee_sphere(2, 1)).items()}
+    assert inv == {apply_hom(CROSS_HOM, w): nonzeros(w) for w in lee_sphere(2, 1)}
     with pytest.raises(DimensionError):
         inverse_on(CROSS_HOM, [(), ((0, 1),), ((1, 1),), ((0, -1),), ((2, -1),)])
+    with pytest.raises(DimensionError):
+        inverse_on(CROSS_HOM, [(), ((0, 1),), ((1, 1),), ((0, -1),), ((-1, -1),)])
 
 
 def test_inverse_on_collision_is_none():
     # (1, 0) and (0, -1) both map to 1 under e_1 -> 1, e_2 -> 4
-    assert inverse_on(Homomorphism(Z5, ((1,), (4,))), lee_sphere(2, 1)) is None
+    assert inverse_on(Homomorphism(Z5, ((1,), (4,))), lee_sphere_sparse(2, 1)) is None
     with pytest.raises(SizeError):
-        inverse_on(CROSS_HOM, lee_sphere(2, 2))
+        inverse_on(CROSS_HOM, lee_sphere_sparse(2, 2))
+
+
+def dual_form_inverse_on(hom, words):
+    """Reference: phi's inverse on |G| words, each dense or sparse, the
+    form read off the word's first entry."""
+    words = list(words)
+    if len(words) != hom.group.order:
+        raise SizeError(f"|V| = {len(words)} != |G| = {hom.group.order}")
+    inv = {}
+    for w in words:
+        if not w:
+            items = w
+        elif type(w[0]) is tuple:
+            if not 0 <= w[0][0] <= w[-1][0] < hom.n:
+                raise DimensionError(f"sparse word {w} has an index outside 0..{hom.n - 1}")
+            items = w
+        elif len(w) == hom.n:
+            items = nonzeros(w)
+        else:
+            raise DimensionError(f"word length {len(w)} != {hom.n}")
+        g = apply_hom_sparse(hom, items)
+        if g in inv:
+            return None
+        inv[g] = w
+    return inv
+
+
+@st.composite
+def anticode_maps(draw):
+    """phi: Z^n -> G, n <= 4, with random images and |G| the size of the
+    radius-1 sphere or double sphere (on any axis), and that anticode's
+    dense words, sorted or shuffled."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        dense = double_sphere(n, 1, draw(st.integers(1, n)))
+    else:
+        dense = lee_sphere(n, 1)
+    G = draw(st.sampled_from(enumerate_abelian_groups(len(dense))))
+    image = st.tuples(*(st.integers(0, t - 1) for t in G.factors))
+    hom = Homomorphism(G, draw(st.lists(image, min_size=n, max_size=n)))
+    return hom, draw(st.permutations(dense)) if draw(st.booleans()) else dense
+
+
+@settings(max_examples=300, deadline=None)
+@given(anticode_maps())
+def test_inverse_on_matches_the_dual_form_reference(case):
+    hom, dense = case
+    sparse = [nonzeros(w) for w in dense]
+    inv = inverse_on(hom, sparse)
+    assert inv == dual_form_inverse_on(hom, sparse)
+    want = dual_form_inverse_on(hom, dense)
+    assert inv == (None if want is None else {g: nonzeros(w) for g, w in want.items()})
+    assert is_bijection_on(hom, dense) == (want is not None)
+
+
+@st.composite
+def dense_sets(draw):
+    """phi: Z^n -> Z_m, n <= 3, m <= 7, and m - 1 to m + 1 random words of
+    length n, at times with one word of another length put in."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 7))
+    hom = Homomorphism(FiniteAbelianGroup((m,)),
+                       draw(st.lists(st.tuples(st.integers(0, m - 1)), min_size=n, max_size=n)))
+    coord = st.integers(-2, 2)
+    words = draw(st.lists(st.tuples(*[coord] * n), min_size=m - 1, max_size=m + 1))
+    if draw(st.booleans()):
+        length = draw(st.integers(0, 4).filter(lambda k: k != n))
+        words.insert(draw(st.integers(0, len(words))), draw(st.tuples(*[coord] * length)))
+    return hom, words
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_sets())
+def test_is_bijection_on_matches_the_dual_form_reference(case):
+    hom, words = case
+    try:
+        want = dual_form_inverse_on(hom, words) is not None
+    except (DimensionError, SizeError) as exc:
+        want = type(exc)
+    if any(len(w) != hom.n for w in words):
+        # every length is checked before phi: a word of another length is
+        # a DimensionError even where the reference, which checks a word
+        # when it reaches it, first meets a SizeError or a collision
+        want = DimensionError
+    if want in (DimensionError, SizeError):
+        with pytest.raises(want):
+            is_bijection_on(hom, words)
+    else:
+        assert is_bijection_on(hom, words) == want
 
 
 LATTICE_HOMS = [CROSS_HOM,
@@ -312,9 +404,14 @@ def test_abs_det_matches_bareiss(m):
 
 
 def test_tile_spread():
-    assert tile_spread(double_sphere(3, 1, 1)) == 3
-    assert tile_spread(lee_sphere(2, 2)) == 4
-    assert tile_spread([(0, 0)]) == 0
+    # hi_i - lo_i of touch_box(V, 0) is the spread max v_i - min v_i of axis i
+    def spread(V):
+        lo, hi = touch_box(V, 0)
+        return [b - a for a, b in zip(lo, hi)]
+
+    assert spread(double_sphere(3, 1, 1)) == [3, 2, 2]
+    assert spread(lee_sphere(2, 2)) == [4, 4]
+    assert spread([(0, 0)]) == [0, 0]
 
 
 def test_kernel_basis_cross():
@@ -341,6 +438,10 @@ def test_period_examples():
     assert period(hom8) == 8
     hom_id = Homomorphism(FiniteAbelianGroup(()), ((), ()))
     assert period(hom_id) == 1
+
+
+def test_period_of_the_map_of_z0_is_one():
+    assert period(Homomorphism(Z5, ())) == 1
 
 
 def test_period_is_minimal_kernel_period():
@@ -564,11 +665,43 @@ def test_kernel_basis_and_points_match_two_pass_reference(case):
     assert _kernel_points(hom, lo, hi) == expected  # same order too
 
 
+def diagonal_kernel_basis(hom):
+    """Reference: the Hermite basis, every row checked to lie in ker(phi),
+    and |det| read off its diagonal, which must be |G|."""
+    basis = reference_kernel_hnf(hom)
+    assert not any(any(apply_hom(hom, row)) for row in basis)
+    det = prod(basis[i][i] for i in range(hom.n))
+    if det != hom.group.order:
+        raise ConstructionError(f"|det| = {det} != |G| = {hom.group.order}")
+    return KernelBasis(rows=basis, det_abs=det)
+
+
+@settings(max_examples=300, deadline=None)
+@given(maps_and_boxes())
+def test_kernel_basis_matches_the_diagonal_reference(case):
+    hom = case[0]
+    try:
+        want = diagonal_kernel_basis(hom)
+    except ConstructionError:
+        # phi is not onto G; only the message is lattice_basis's
+        with pytest.raises(ConstructionError, match=r"\|det\(basis\)\| = "):
+            kernel_basis(hom)
+    else:
+        assert kernel_basis(hom) == want
+
+
 CERTIFY_HOMS = {
     **{f"dpl4_{n}_{q}": (construct_dpl4, n, q)
        for n, q in [(3, 12), (4, 4), (4, 8), (4, 16), (5, 20)]},
     **{f"pl1_{n}": (construct_pl1, n) for n in range(2, 6)},
 }
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFY_HOMS))
+def test_kernel_basis_matches_the_diagonal_reference_on_the_certified_codes(name):
+    build, *args = CERTIFY_HOMS[name]
+    hom = build(*args).hom
+    assert kernel_basis(hom) == diagonal_kernel_basis(hom)
 
 
 def _reference_points(hom, lo, hi):
