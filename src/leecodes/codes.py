@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import compress
 from math import prod
+from operator import itemgetter, not_
 
 from .errors import (
     ConstructionError,
@@ -251,15 +253,27 @@ def restrict_to_zq(code, q):
 
 
 def codewords_mod_q(code):
-    """All codewords of a modular code, as reduced words, sorted."""
+    """All codewords of a modular code, as reduced words, sorted.
+
+    The kernel points are those of [0, q-1]^n.  Under the even-weight
+    transversal their members leave that box only where l_axis = q - 1
+    moved to q; those wrapped members, reduced to l_axis = 0, are a
+    sorted run of their own, so one sort of the members and one linear
+    merge of two sorted runs give the reduced words in order.
+    """
     if code.q is None:
         raise DomainError("code has no modulus; restrict it first")
     q = code.q
     pts = _kernel_points(code.hom, [0] * code.n, [q - 1] * code.n)
     if code.anticode.kind == SPHERE:
         return sorted(pts)
-    return sorted(tuple(a % q for a in w)
-                  for w in even_weight_members(pts, code.anticode.axis))
+    a = code.anticode.axis - 1
+    cws = even_weight_members(pts, a + 1)
+    wrapped = list(map(q.__eq__, map(itemgetter(a), cws)))
+    out = list(compress(cws, map(not_, wrapped)))
+    out += [w[:a] + (0,) + w[a + 1:] for w in compress(cws, wrapped)]
+    out.sort()  # two sorted runs: a merge
+    return out
 
 
 def codewords_in_window(code, R):

@@ -26,7 +26,8 @@ cannot overflow into another.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from bisect import bisect_left
+from itertools import combinations, compress, repeat
 from math import lcm, prod
 from operator import add, floordiv, itemgetter, mod, mul, not_, or_, sub
 
@@ -241,11 +242,15 @@ def abs_det(rows):
     any elimination, when the core has more than MAX_BAREISS_CORE rows.
     Bases that are triangular up to a permutation of rows and columns
     (the DPL(n,4) basis, the HNF of kernel_basis) peel completely, in
-    time linear in their entries.
+    time linear in their entries.  A matrix that is already lower
+    triangular, as _kernel_hnf's bases are, needs no peel: its |det| is
+    the product of its diagonal.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise DimensionError("matrix is not square")
+    if not any(any(row[i + 1:]) for i, row in enumerate(rows)):
+        return abs(prod(row[i] for i, row in enumerate(rows)))
     row_nz = [dict(nonzeros(row)) for row in rows]
     col_nz = [set() for _ in range(n)]
     for i, nz in enumerate(row_nz):
@@ -596,13 +601,50 @@ class SearchResult:
 
 
 def _normalize_tile(V):
-    """Translate V so its lexicographic minimum lands on the origin."""
+    """Translate the nonempty V so its lexicographic minimum lands on the
+    origin; the words come sorted, a column at a time."""
     V = sorted(set(V))
-    base = V[0]
-    return [tuple(a - b for a, b in zip(w, base)) for w in V]
+    return list(zip(*[map(sub, col, repeat(b)) for col, b in zip(zip(*V), V[0])]))
 
 
-def _search_group(G, start, coeffs, budget, counts, failures):
+def _tile_symmetries(W):
+    """(swaps, negations) of the normalized tile W: the pairs i < j whose
+    coordinate swap, and the coordinates d >= 1 whose negation, map W
+    onto a translate of W.
+
+    A map of the coordinates sends W onto W + t only when t moves each
+    image column's range onto the column's own range, and then exactly
+    when every image word less t lies in W, since the images are |W|
+    distinct words.
+    """
+    if len(W[0]) == 1:
+        return [], []  # coordinate 0's negation is the orbit cut's
+    cols = list(zip(*W))
+    lo = list(map(min, cols))
+    hi = list(map(max, cols))
+    members = set(W)
+
+    def onto(image):
+        return all(map(members.__contains__, zip(*image)))
+
+    swaps = []
+    for i, j in combinations(range(len(cols)), 2):
+        if hi[i] - lo[i] == hi[j] - lo[j]:
+            image = cols[:]
+            image[i] = [x + lo[i] - lo[j] for x in cols[j]]
+            image[j] = [x + lo[j] - lo[i] for x in cols[i]]
+            if onto(image):
+                swaps.append((i, j))
+    negations = []
+    for d in range(1, len(cols)):
+        image = cols[:]
+        image[d] = [lo[d] + hi[d] - x for x in cols[d]]
+        if onto(image):
+            negations.append(d)
+    return swaps, negations
+
+
+def _search_group(G, start, coeffs, budget, counts, failures, swaps, negations):
     """Depth-first image assignment in G; see search_lattice_tiling.
 
     The first image runs over one element per Aut(G)-orbit, the
@@ -614,6 +656,21 @@ def _search_group(G, start, coeffs, budget, counts, failures):
     alpha(g*) < g* would make it a lex-smaller solution.  Hence g* is
     the lex-least element of its orbit and is tried, no element before
     it starts a solution, and the skipped ones only save nodes.
+
+    The tile's own symmetries cut the same way (lex-leader constraints,
+    Crawford, Ginsberg, Luks and Roy, KR 1996).  If a swap of
+    coordinates i < j, or a negation of coordinate d, maps the tile
+    onto a translate of itself, then phi* composed with it is bijective
+    on the tile too, with images i and j exchanged or image d negated.
+    Its image tuple is no less than phi*'s, so phi* has images[i] <=
+    images[j] and index(g_d) <= index(-g_d): depth j starts at the
+    largest images[i] over the swaps (i, j), and a depth d with a
+    negation skips every g with index(-g) < g.  phi* meets all of these
+    constraints and the orbit cut's at once, so no cut skips it and the
+    search still returns it: status and groups_tried are the unpruned
+    search's.  The skipped elements are not nodes.  A negation of
+    coordinate 0 is already cut by the orbits, since -1 is an
+    automorphism.
 
     A word's residue is final once the images up to its last nonzero
     coordinate are assigned: depth d checks the words whose last nonzero
@@ -639,7 +696,6 @@ def _search_group(G, start, coeffs, budget, counts, failures):
     images = [None] * n
     elems = list(G.elements())
     first = [lex_rank(g, G) - 1 for g in aut_orbit_representatives(G)]
-    every = range(N)
     # the index of e is the sum of e_j * P_j, P_j = t_{j+1} * ... * t_s
     places = [prod(factors[j + 1:]) for j in range(len(factors))]
     memo = {}
@@ -655,6 +711,13 @@ def _search_group(G, start, coeffs, budget, counts, failures):
         memo[(x * N + g) * N + r] = s
         return s
 
+    def minus(g):
+        """Index of -g, from the digits of g."""
+        return sum(-a % t * p for a, t, p in zip(elems[g], factors, places))
+
+    below = [[i for i, j in swaps if j == d] for d in range(n)]
+    negated = [d in negations for d in range(n)]
+
     # (x mod L) * |G|^2 per coefficient x; a residue r adds r and an
     # image g adds g * |G|, giving the memo key of r + x * g
     cols = [[x % L * NN for x in coeff] for coeff in coeffs]
@@ -663,7 +726,13 @@ def _search_group(G, start, coeffs, budget, counts, failures):
         k = start[depth + 1] - start[depth]
         keys = list(map(add, acc, cols[depth]))
         fixed, later = keys[:k], keys[k:]
-        for g in first if depth == 0 else every:
+        if depth == 0:
+            cands = first
+        else:
+            cands = range(max(map(images.__getitem__, below[depth]), default=0), N)
+            if negated[depth]:
+                cands = (g for g in cands if minus(g) >= g)
+        for g in cands:
             counts[0] += 1
             if counts[0] > budget:
                 return BUDGET_EXCEEDED
@@ -708,8 +777,16 @@ def search_lattice_tiling(V, budget=DEFAULT_BUDGET):
     first image is tried only at the lex-least element of each
     Aut(G)-orbit (an automorphism maps a solution to a solution), which
     returns the same solution, groups_tried and status as trying every
-    element; only nodes, assignments_tried and failures shrink.
-    NotFound is reported only on true exhaustion.
+    element; only nodes, assignments_tried and failures shrink.  The
+    tile's own coordinate swaps and negations, found once per call by
+    comparing the tile with their images as sets, cut the same way and keep the same
+    results: image j is never below image i when swapping coordinates
+    i < j maps the tile onto a translate of itself, and image d never
+    above its negative, by index, when negating coordinate d does (see
+    _search_group).  They shrink the nodes of the double spheres and
+    Lee spheres most, so a NotFound or BudgetExceeded result reports
+    fewer nodes and assignments than a search without them.  NotFound
+    is reported only on true exhaustion.
     """
     V = list(V)
     if not V:
@@ -724,10 +801,12 @@ def search_lattice_tiling(V, budget=DEFAULT_BUDGET):
         raise DomainError("tile has a repeated word")
     # words sorted by last nonzero coordinate (-1 for the origin);
     # start[d] is the first word whose last nonzero coordinate is >= d
-    last = {w: max((i for i, x in enumerate(w) if x), default=-1) for w in W}
-    words = sorted(W, key=last.get)
-    start = [sum(1 for w in words if last[w] < d) for d in range(n + 1)]
-    coeffs = [[w[d] for w in words[start[d]:]] for d in range(n)]
+    last = [max(compress(range(n), w), default=-1) for w in W]
+    words = list(map(W.__getitem__, sorted(range(len(W)), key=last.__getitem__)))
+    last.sort()
+    start = [bisect_left(last, d) for d in range(n + 1)]
+    coeffs = [list(map(itemgetter(d), words[start[d]:])) for d in range(n)]
+    symmetries = _tile_symmetries(W)
     counts = [0, 0]  # nodes, full assignments
     groups_tried = 0
     failures = []
@@ -735,7 +814,7 @@ def search_lattice_tiling(V, budget=DEFAULT_BUDGET):
     status, hom = NOT_FOUND, None
     for G in enumerate_abelian_groups(len(W)):
         groups_tried += 1
-        res = _search_group(G, start, coeffs, budget, counts, failures)
+        res = _search_group(G, start, coeffs, budget, counts, failures, *symmetries)
         if res == BUDGET_EXCEEDED:
             status = BUDGET_EXCEEDED
             break

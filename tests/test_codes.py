@@ -33,6 +33,7 @@ from leecodes.codes import (
     _squarefree_chain,
     apply_transversal,
 )
+from leecodes.lee import even_weight_members
 from leecodes.errors import (
     ConstructionError,
     DataFormatError,
@@ -386,6 +387,40 @@ def test_codewords_match_the_per_point_rule_on_random_maps(code, R, k):
         assert set(codewords_mod_q(zq)) == set(want)
     else:
         assert codewords_mod_q(zq) == want
+
+
+def two_sort_codewords_mod_q(code):
+    """Reference: the even-weight members of the kernel points of [0, q-1]^n,
+    each reduced mod q, sorted again."""
+    q = code.q
+    pts = _kernel_points(code.hom, [0] * code.n, [q - 1] * code.n)
+    if code.anticode.kind == SPHERE:
+        return sorted(pts)
+    return sorted(tuple(a % q for a in w)
+                  for w in even_weight_members(pts, code.anticode.axis))
+
+
+# the nine codes of the benchmark's certify workload
+NINE_CODES = ([construct_dpl4(n, q) for n, q in [(3, 12), (4, 4), (4, 8), (4, 16), (5, 20)]]
+              + [construct_pl1(n) for n in (2, 3, 4, 5)])
+
+
+@pytest.mark.parametrize("code", NINE_CODES, ids=range(len(NINE_CODES)))
+def test_codewords_mod_q_matches_the_two_sort_reference(code):
+    p = period(code.hom)
+    for q in (p, 2 * p):
+        if q ** code.n <= 10 ** 5:
+            zq = restrict_to_zq(code, q)
+            assert codewords_mod_q(zq) == two_sort_codewords_mod_q(zq), q
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_codes(), st.integers(1, 3))
+def test_codewords_mod_q_matches_the_two_sort_reference_on_random_maps(code, k):
+    # exactly, repeated words too: a map with e_axis in its kernel lists
+    # the member of l_axis = q - 1 moved to q again at l_axis = 0
+    zq = restrict_to_zq(code, k * period(code.hom))
+    assert codewords_mod_q(zq) == two_sort_codewords_mod_q(zq)
 
 
 def test_min_distance_examples():

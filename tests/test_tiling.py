@@ -1,5 +1,5 @@
 import dataclasses
-from itertools import product
+from itertools import combinations, product
 from math import prod
 from operator import add
 from unittest.mock import patch
@@ -401,6 +401,23 @@ def square_matrices(draw):
 @given(square_matrices())
 def test_abs_det_matches_bareiss(m):
     assert abs_det(m) == abs(det_bareiss(m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda k: st.tuples(
+    st.lists(st.lists(ENTRY, min_size=k, max_size=k), min_size=k, max_size=k),
+    st.permutations(range(k)), st.permutations(range(k)))))
+def test_abs_det_of_a_lower_triangular_matrix_matches_the_peel(case):
+    m, rows, cols = case
+    k = len(m)
+    low = [row[:i + 1] + [0] * (k - i - 1) for i, row in enumerate(m)]
+    # upper triangular, and permuted: neither is lower triangular unless
+    # diagonal, so both go through the peel
+    up = [row[::-1] for row in reversed(low)]
+    mixed = [[low[i][j] for j in cols] for i in rows]
+    diagonal = abs(prod(row[i] for i, row in enumerate(low)))
+    assert abs_det(low) == abs_det(up) == abs_det(mixed) == diagonal
+    assert diagonal == abs(det_bareiss(low))
 
 
 def test_tile_spread():
@@ -892,8 +909,9 @@ def test_search_tile_with_a_repeated_word():
 
 
 # nodes visited with the first image pinned only in a cyclic group of
-# prime order -> nodes with one first image per Aut(G)-orbit
-ORBIT_CUT_NODES = {6: 4, 15: 9, 386: 77, 42: 26, 126376: 16057, 8094: 971, 22250: 1430}
+# prime order -> nodes with one first image per Aut(G)-orbit and the
+# tile's coordinate swaps and negations cut
+ORBIT_CUT_NODES = {6: 4, 15: 9, 386: 27, 42: 15, 126376: 233, 8094: 160, 22250: 156}
 
 
 @pytest.mark.parametrize("V, status, nodes, groups_tried", [
@@ -928,8 +946,9 @@ def test_search_first_image_may_be_zero():
     assert is_bijection_on(res.hom, V)
 
 
-def _unpruned_search_group(G, start, coeffs, budget, counts, failures):
-    """tiling._search_group with every element tried at depth 0."""
+def _unpruned_search_group(G, start, coeffs, budget, counts, failures, swaps, negations):
+    """tiling._search_group with every element tried at every depth: no
+    orbit cut and no cut by the tile's symmetries."""
     factors = G.factors
     n = len(coeffs)
     images = [None] * n
@@ -982,19 +1001,97 @@ def test_search_orbit_cut_matches_unpruned_search(V):
     assert res.assignments_tried <= ref.assignments_tried
 
 
-def _tuple_search_group(G, start, coeffs, budget, counts, failures):
+@st.composite
+def symmetrized_tiles(draw):
+    """(tile, swaps, negations): a few words of [-1, 1]^n, n = 2 or 3, closed
+    under a random set of coordinate swaps and negations, then translated."""
+    n = draw(st.integers(2, 3))
+    V = draw(st.sets(st.tuples(*[st.integers(-1, 1)] * n), min_size=1, max_size=4))
+    swaps = sorted(draw(st.sets(st.sampled_from(list(combinations(range(n), 2))))))
+    negations = sorted(draw(st.sets(st.integers(0, n - 1))))
+    maps = [lambda w, i=i, j=j: w[:i] + (w[j],) + w[i + 1:j] + (w[i],) + w[j + 1:]
+            for i, j in swaps]
+    maps += [lambda w, d=d: w[:d] + (-w[d],) + w[d + 1:] for d in negations]
+    todo = list(V)
+    while todo:
+        w = todo.pop()
+        for f in maps:
+            if f(w) not in V:
+                V.add(f(w))
+                todo.append(f(w))
+    shift = draw(st.tuples(*[st.integers(-3, 3)] * n))
+    return sorted(tuple(map(add, w, shift)) for w in V), swaps, negations
+
+
+def _symmetries_by_normalizing(W):
+    """Reference for tiling._tile_symmetries: normalize each image of W."""
+    n = len(W[0])
+
+    def onto(f):
+        return tiling._normalize_tile(map(f, W)) == W
+
+    return ([(i, j) for i, j in combinations(range(n), 2)
+             if onto(lambda w: w[:i] + (w[j],) + w[i + 1:j] + (w[i],) + w[j + 1:])],
+            [d for d in range(1, n) if onto(lambda w: w[:d] + (-w[d],) + w[d + 1:])])
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetrized_tiles())
+def test_symmetry_cut_matches_unpruned_search(case):
+    V, swaps, negations = case
+    W = tiling._normalize_tile(V)
+    found_swaps, found_negations = tiling._tile_symmetries(W)
+    assert (found_swaps, found_negations) == _symmetries_by_normalizing(W)
+    assert set(swaps) <= set(found_swaps)
+    assert set(negations) - {0} <= set(found_negations)
+    res = search_lattice_tiling(V)
+    with patch.object(tiling, "_search_group", _unpruned_search_group):
+        ref = search_lattice_tiling(V)
+    assert (res.status, res.groups_tried, res.hom) == (ref.status, ref.groups_tried, ref.hom)
+    assert res.nodes <= ref.nodes
+    assert res.assignments_tried <= ref.assignments_tried
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_tile_symmetries_of_the_double_sphere(n):
+    # the double sphere is long on axis 0: it swaps and negates only the others
+    W = tiling._normalize_tile(double_sphere(n, 1))
+    assert tiling._tile_symmetries(W) == (list(combinations(range(1, n), 2)),
+                                          list(range(1, n)))
+
+
+def test_tile_symmetries_of_asymmetric_tiles():
+    assert tiling._tile_symmetries([(0, 0), (0, 1), (1, -1), (1, 0), (2, 0)]) == ([], [])
+    # equal spreads, and still no swap: {(0, 0), (0, 1), (1, 1)} swaps to a
+    # set with (1, 0)
+    assert tiling._tile_symmetries([(0, 0), (0, 1), (1, 1)]) == ([], [])
+    # {0, 1} x {0, 1, 2}: no swap; axis 1 negates onto a translate (axis 0
+    # does too, but that negation is the orbit cut's)
+    W = [(x, y) for x in range(2) for y in range(3)]
+    assert tiling._tile_symmetries(W) == ([], [1])
+
+
+def _tuple_search_group(G, start, coeffs, budget, counts, failures, swaps, negations):
     """tiling._search_group on element tuples, residues as tuples and the
-    fixed residues as a set: the search before element indices."""
+    fixed residues as a set: the search before element indices, with
+    each symmetry cut as a test of the tuples."""
     factors = G.factors
     n = len(coeffs)
     images = [None] * n
     elems = list(G.elements())
     first = aut_orbit_representatives(G)
 
+    def cut(depth, g):
+        if any(g < images[i] for i, j in swaps if j == depth):
+            return True
+        return depth in negations and tuple(-a % t for a, t in zip(g, factors)) < g
+
     def dfs(depth, seen, acc):
         k = start[depth + 1] - start[depth]
         coeff = coeffs[depth]
         for g in first if depth == 0 else elems:
+            if depth and cut(depth, g):
+                continue
             counts[0] += 1
             if counts[0] > budget:
                 return BUDGET_EXCEEDED
@@ -1067,9 +1164,9 @@ def test_search_memo_cap_keeps_the_result(monkeypatch):
 @pytest.mark.parametrize("V, status, factors, nodes, assignments", [
     ([(x,) for x in range(300)], FOUND, (4, 3, 25), 43, 43),
     ([(x,) for x in range(1000)], FOUND, (8, 125), 90, 90),
-    ([(x, y) for x in range(300) for y in range(2)], FOUND, (4, 2, 3, 25), 129, 76),
-    (lee_sphere(3, 3), NOT_FOUND, None, 12232, 11844),
-    (double_sphere(6, 1), FOUND, (4, 2, 3), 76233, 36881),
+    ([(x, y) for x in range(300) for y in range(2)], FOUND, (4, 2, 3, 25), 92, 39),
+    (lee_sphere(3, 3), NOT_FOUND, None, 1209, 1042),
+    (double_sphere(6, 1), FOUND, (4, 2, 3), 338, 11),
 ], ids=["interval300", "interval1000", "grid300x2", "s3_3", "ds6_1"])
 def test_search_pins_larger_tiles(V, status, factors, nodes, assignments):
     res = search_lattice_tiling(V)
