@@ -47,6 +47,7 @@ from .tiling import (
     kernel_basis,
     kernel_points_in_box,
     lattice_basis,
+    lex_sort,
     period,
 )
 
@@ -266,7 +267,8 @@ def codewords_mod_q(code):
     q = code.q
     pts = _kernel_points(code.hom, [0] * code.n, [q - 1] * code.n)
     if code.anticode.kind == SPHERE:
-        return sorted(pts)
+        lex_sort(pts)
+        return pts
     a = code.anticode.axis - 1
     cws = even_weight_members(pts, a + 1)
     wrapped = list(map(q.__eq__, map(itemgetter(a), cws)))

@@ -188,8 +188,15 @@ def format_words(words):
     return "\n".join(format_word(w) for w in sorted(words))
 
 
+def word_length(words):
+    """The words' one length, None for no words; DimensionError for mixed lengths."""
+    lengths = set(map(len, words))
+    if len(lengths) > 1:
+        raise DimensionError("words of mixed length")
+    return lengths.pop() if lengths else None
+
+
 def parse_words(text):
     words = [parse_word(line) for line in text.splitlines() if line.strip()]
-    if words and any(len(w) != len(words[0]) for w in words):
-        raise DimensionError("words of mixed length")
+    word_length(words)
     return words

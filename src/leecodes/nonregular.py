@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionError, DomainError, StructuralError, WindowError
 from .groups import FiniteAbelianGroup, element_order
-from .lee import double_sphere, double_sphere_sparse, even_weight_members
+from .lee import double_sphere, double_sphere_sparse, even_weight_members, word_length
 from .tiling import (Homomorphism, KernelBasis, _kernel_points, apply_hom_sparse,
                      exact_cover, lattice_basis, lex_sort, touch_box)
 
@@ -183,10 +183,7 @@ def code_from_window_tiling(tiling):
 
     lee.even_weight_members of the centers; a sorted input, as
     shifted_tiling_n3 gives, merges in linear time.  DimensionError
-    unless every center has the first one's length.
+    for centers of mixed length.
     """
-    centers = tiling.centers
-    n = len(centers[0]) if centers else 0
-    if not set(map(len, centers)) <= {n}:
-        raise DimensionError(f"a center's length is not the first one's n = {n}")
-    return even_weight_members(centers)
+    word_length(tiling.centers)
+    return even_weight_members(tiling.centers)

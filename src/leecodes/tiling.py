@@ -45,7 +45,7 @@ from .groups import (
     enumerate_abelian_groups,
     lex_rank,
 )
-from .lee import nonzeros
+from .lee import nonzeros, word_length
 
 
 @dataclass(frozen=True)
@@ -161,9 +161,8 @@ def inverse_on(hom, words):
 def is_bijection_on(hom, words):
     """True iff phi is injective (hence onto G) on |G| dense words of length n."""
     words = list(words)
-    for w in words:
-        if len(w) != hom.n:
-            raise DimensionError(f"word length {len(w)} != {hom.n}")
+    if word_length(words) not in (None, hom.n):
+        raise DimensionError(f"the words are not of length n = {hom.n}")
     return inverse_on(hom, map(nonzeros, words)) is not None
 
 
@@ -501,12 +500,10 @@ def exact_cover(centers, tile, R):
     empty tile, DimensionError for tile words of mixed length or a
     center whose length is not theirs.
     """
-    if not tile:
+    n = word_length(tile)
+    if n is None:
         raise SizeError("tile must be nonempty")
-    n = len(tile[0])
-    if any(len(v) != n for v in tile):
-        raise DimensionError("tile words are not all of one length")
-    if not set(map(len, centers)) <= {n}:
+    if word_length(centers) not in (None, n):
         raise DimensionError(f"a center's length is not the tile's n = {n}")
     if R < 0:
         return False
@@ -555,11 +552,11 @@ def verify_window_tiling(hom, V, R):
     The centers are the kernel points of touch_box(V, R).
     """
     V = list(V)
-    if not V:
+    n = word_length(V)
+    if n is None:
         raise SizeError("tile must be nonempty")
-    for v in V:
-        if len(v) != hom.n:
-            raise DimensionError(f"word length {len(v)} != {hom.n}")
+    if n != hom.n:
+        raise DimensionError(f"word length {n} != {hom.n}")
     return exact_cover(_kernel_points(hom, *touch_box(V, R)), V, R)
 
 
@@ -681,17 +678,19 @@ def _search_group(G, start, coeffs, budget, counts, failures, swaps, negations):
     residue is an int and the residues fixed so far are one bitmask.
     step(r, x, g) is the index of r + x * g, memoised in one dict keyed
     by ((x mod L) * |G| + g) * |G| + r for the exponent L of G: the key
-    is exact because L * g = 0, so x * g depends on x mod L alone.  A
-    miss sums ((r_j + x * g_j) mod t_j) * P_j over the digits, P_j the
-    index of the j-th unit element: lex_rank's Horner sum, expanded.
-    The dict grows with the steps the search takes, not with |G|^2, and
-    is cleared at SEARCH_MEMO_CAP entries, so memory stays bounded
-    however long the budget lets a search run.
+    is exact because L * g = 0, so x * g depends on x mod L alone, and
+    the negation cut reads -g as step(0, L - 1, g), of index 0 only for
+    g = 0.  A miss sums ((r_j + x * g_j) mod t_j) * P_j over the digits,
+    P_j the index of the j-th unit element: lex_rank's Horner sum,
+    expanded.  The dict grows with the steps the search takes, not with
+    |G|^2, and is cleared at SEARCH_MEMO_CAP entries, so memory stays
+    bounded however long the budget lets a search run.
     """
     factors = G.factors
     N = G.order
     NN = N * N
     L = lcm(*factors)
+    neg = (L - 1) * NN  # the memo key of -g = 0 + (L - 1) * g, less g * |G|
     n = len(coeffs)
     images = [None] * n
     elems = list(G.elements())
@@ -711,10 +710,6 @@ def _search_group(G, start, coeffs, budget, counts, failures, swaps, negations):
         memo[(x * N + g) * N + r] = s
         return s
 
-    def minus(g):
-        """Index of -g, from the digits of g."""
-        return sum(-a % t * p for a, t, p in zip(elems[g], factors, places))
-
     below = [[i for i, j in swaps if j == d] for d in range(n)]
     negated = [d in negations for d in range(n)]
 
@@ -731,7 +726,7 @@ def _search_group(G, start, coeffs, budget, counts, failures, swaps, negations):
         else:
             cands = range(max(map(images.__getitem__, below[depth]), default=0), N)
             if negated[depth]:
-                cands = (g for g in cands if minus(g) >= g)
+                cands = (g for g in cands if g <= (get(neg + g * N) or step(0, L - 1, g)))
         for g in cands:
             counts[0] += 1
             if counts[0] > budget:
@@ -789,11 +784,9 @@ def search_lattice_tiling(V, budget=DEFAULT_BUDGET):
     is reported only on true exhaustion.
     """
     V = list(V)
-    if not V:
+    n = word_length(V)
+    if n is None:
         raise SizeError("tile must be nonempty")
-    n = len(V[0])
-    if any(len(w) != n for w in V):
-        raise DimensionError("tile words are not all of one length")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     W = _normalize_tile(V)

@@ -24,6 +24,7 @@ from leecodes.lee import (
     nonzeros,
     parse_word,
     parse_words,
+    word_length,
 )
 
 
@@ -157,6 +158,18 @@ def test_word_serialization_roundtrip():
     text = format_words(words)
     assert text.splitlines() == ["-3,0", "0,0", "1,2"]
     assert set(parse_words(text)) == set(words)
+
+
+def test_word_length():
+    assert word_length([]) is None
+    assert word_length([(1, 2), (-3, 0), (0, 0)]) == 2
+    assert word_length([()]) == 0
+    assert word_length(iter([(5,)])) == 1
+    for words in ([(0, 0), (1,)], [(0,), (1,), (2, 0)], [(), (0,)]):
+        with pytest.raises(DimensionError):
+            word_length(words)
+    with pytest.raises(DimensionError):
+        parse_words("0,0\n1")
 
 
 def test_lee_weight_modular():

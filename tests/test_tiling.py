@@ -1152,10 +1152,13 @@ def test_search_matches_the_tuple_reference_at_every_budget(V):
         assert (res.status == BUDGET_EXCEEDED) == (budget < nodes), budget
 
 
-def test_search_memo_cap_keeps_the_result(monkeypatch):
-    V = double_sphere(5, 1)
+# the negation cut reads and fills the memo too
+@pytest.mark.parametrize("cap", [1, 3])
+@pytest.mark.parametrize("V", [double_sphere(5, 1), lee_sphere(3, 2), double_sphere(4, 2)],
+                         ids=["ds5_1", "s3_2", "ds4_2"])
+def test_search_memo_cap_keeps_the_result(monkeypatch, V, cap):
     ref = _search_fields(search_lattice_tiling(V))
-    monkeypatch.setattr(tiling, "SEARCH_MEMO_CAP", 3)
+    monkeypatch.setattr(tiling, "SEARCH_MEMO_CAP", cap)
     assert _search_fields(search_lattice_tiling(V)) == ref
 
 
@@ -1167,7 +1170,9 @@ def test_search_memo_cap_keeps_the_result(monkeypatch):
     ([(x, y) for x in range(300) for y in range(2)], FOUND, (4, 2, 3, 25), 92, 39),
     (lee_sphere(3, 3), NOT_FOUND, None, 1209, 1042),
     (double_sphere(6, 1), FOUND, (4, 2, 3), 338, 11),
-], ids=["interval300", "interval1000", "grid300x2", "s3_3", "ds6_1"])
+    (lee_sphere(4, 3), NOT_FOUND, None, 10541, 8391),
+    (double_sphere(4, 2), NOT_FOUND, None, 5445, 3533),
+], ids=["interval300", "interval1000", "grid300x2", "s3_3", "ds6_1", "s4_3", "ds4_2"])
 def test_search_pins_larger_tiles(V, status, factors, nodes, assignments):
     res = search_lattice_tiling(V)
     assert (res.status, res.nodes, res.assignments_tried) == (status, nodes, assignments)
