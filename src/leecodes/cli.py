@@ -29,15 +29,16 @@ EXIT_DATA = 65
 # takes about 0.1 s in CPython 3.11, of one near 10^18 minutes
 MAX_GROUP_ORDER = 10 ** 12
 
-# largest box a --window may ask for: (2(R + spread) + 1)^n points for
-# verify, (2R + 1)^n for tile and (2(R + 4) + 1)^3 for nonregular; also
-# the largest n^2 basis entries pl1 and construct --n may emit.  Kernel
-# points are enumerated at a cost proportional to their number, about
-# box / |G|, but verify's cover marks up to box points, tile prints
-# box / |G| of them and nonregular keeps about (2R + 4)(2R + 3)^2 / 12
-# centers: at the bound verify DPL(6,12) takes 0.3 s, tile 1.3 s,
-# nonregular 2.0 s (764452 centers at R = 103) and pl1 --n 3162 5.7 s
-# and 250 MB in CPython 3.11 on a 2-vCPU VM
+# largest box a --window may ask for: (2(R + d) + 1)^n points for
+# verify, d the anticode's diameter, (2R + 1)^n for tile and
+# (2(R + 4) + 1)^3 for nonregular; also the largest n^2 basis entries
+# pl1 and construct --n may emit.  Kernel points are enumerated at a
+# cost proportional to their number, about box / |G|, but verify's
+# cover marks up to box points, tile prints box / |G| of them and
+# nonregular keeps about (2R + 4)(2R + 3)^2 / 12 centers: at the bound
+# verify DPL(6,12) takes 0.3 s, tile 1.3 s, nonregular 2.0 s (764452
+# centers at R = 103) and pl1 --n 3162 5.7 s and 250 MB in CPython 3.11
+# on a 2-vCPU VM
 MAX_WINDOW_POINTS = 10 ** 7
 
 
@@ -151,11 +152,10 @@ def _check_basis(n):
 
 def cmd_verify(args):
     code = _load_code(args.code)
-    V = code.anticode.points()
-    lo, hi = tiling.touch_box(V, 0)  # hi_i - lo_i = max v_i - min v_i, axis i's spread
-    _check_window(args.window, max(b - a for a, b in zip(lo, hi)), code.n)
-    # the load proved phi bijective on V
-    cover = tiling.verify_window_tiling(code.hom, V, args.window)
+    # the diameter is the anticode's largest coordinate spread
+    _check_window(args.window, code.anticode.diameter, code.n)
+    # the load proved phi bijective on the anticode
+    cover = tiling.verify_window_tiling(code.hom, code.anticode.points(), args.window)
     d = code.anticode.diameter + 1
     mind = codes.min_distance_window(code, args.window) if cover else None
     ok = cover and mind is not None and mind >= d

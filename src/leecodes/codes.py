@@ -12,9 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import compress
 from math import prod
-from operator import itemgetter, not_
 
 from .errors import (
     ConstructionError,
@@ -258,9 +256,9 @@ def codewords_mod_q(code):
 
     The kernel points are those of [0, q-1]^n.  Under the even-weight
     transversal their members leave that box only where l_axis = q - 1
-    moved to q; those wrapped members, reduced to l_axis = 0, are a
-    sorted run of their own, so one sort of the members and one linear
-    merge of two sorted runs give the reduced words in order.
+    moved to q.  One pass reduces those to l_axis = 0 and one sort puts
+    the words in order; the members come sorted, so that sort merges the
+    sorted runs the pass leaves.
     """
     if code.q is None:
         raise DomainError("code has no modulus; restrict it first")
@@ -270,11 +268,9 @@ def codewords_mod_q(code):
         lex_sort(pts)
         return pts
     a = code.anticode.axis - 1
-    cws = even_weight_members(pts, a + 1)
-    wrapped = list(map(q.__eq__, map(itemgetter(a), cws)))
-    out = list(compress(cws, map(not_, wrapped)))
-    out += [w[:a] + (0,) + w[a + 1:] for w in compress(cws, wrapped)]
-    out.sort()  # two sorted runs: a merge
+    out = [w[:a] + (0,) + w[a + 1:] if w[a] == q else w
+           for w in even_weight_members(pts, a + 1)]
+    out.sort()
     return out
 
 

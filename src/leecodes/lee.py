@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations, compress, count, groupby, product, repeat
 from math import comb
-from operator import add, and_, itemgetter, mul, not_
+from operator import add, and_, itemgetter, mul, not_, sub
 
 from .errors import DimensionError, DomainError
 
@@ -71,16 +71,6 @@ def lee_distance(u, v, q=None):
     return lee_weight(tuple(a - b for a, b in zip(u, v)), q)
 
 
-def _positive_parts(k, total):
-    """Tuples of k positive integers with sum <= total."""
-    if k == 0:
-        yield ()
-        return
-    for first in range(1, total - k + 2):
-        for rest in _positive_parts(k - 1, total - first):
-            yield (first,) + rest
-
-
 def _check_sphere(n, r):
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
@@ -92,11 +82,15 @@ def _sphere_sparse(n, r):
     """The Lee sphere of radius r in Z^n in sparse form, by support.
 
     Support positions, magnitudes and signs are chosen in turn, so the
-    cost is proportional to the sphere volume even when n is large.
+    cost is proportional to the sphere volume even when n is large.  The
+    k magnitudes with sum <= r are the gaps between k cuts 0 < c_1 <
+    ... < c_k <= r, so the cuts in lexicographic order give them in
+    lexicographic order too.
     """
     for k in range(min(n, r) + 1):
         for positions in combinations(range(n), k):
-            for mags in _positive_parts(k, r):
+            for cuts in combinations(range(1, r + 1), k):
+                mags = tuple(map(sub, cuts, (0,) + cuts))
                 for signs in product((1, -1), repeat=k):
                     yield tuple(zip(positions, map(mul, signs, mags)))
 

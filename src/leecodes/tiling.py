@@ -19,8 +19,9 @@ every field of sum (a_i mod L) * packed_i is a sum of at most n terms
 in [0, (L - 1)(t_max - 1)], so w = bit_length(n (L - 1)(t_max - 1)) + 1
 keeps each field below 2^w and no field carries into the next.  One
 product sum and s shift/mask/mod extractions give phi(a).  A one-factor
-group packs to the plain column and needs no reduction: its one field
-cannot overflow into another.
+group packs to the plain column, whose one field cannot overflow into
+another, so apply_hom does not reduce there; apply_hom_sparse reduces
+for every G.
 """
 
 from __future__ import annotations
@@ -125,13 +126,12 @@ def apply_hom(hom, a):
 def apply_hom_sparse(hom, items):
     """phi of a sparse word given as a sequence of (index, value) pairs, 0-based.
 
-    The indices must be distinct, as in the sparse form `nonzeros`
-    gives: the packed layout of apply_hom bounds the fields for at most
-    n terms.
+    One path for every G: each value is reduced mod the exponent of G
+    before it scales its packed image.  The indices must be distinct,
+    as in the sparse form `nonzeros` gives: the packed layout of
+    apply_hom bounds the fields for at most n reduced terms.
     """
     packed = hom.packed
-    if len(hom.group.factors) == 1:
-        return _unpack(hom, sum(x * packed[i] for i, x in items))
     L = hom.exponent
     return _unpack(hom, sum(x % L * packed[i] for i, x in items))
 
@@ -614,8 +614,6 @@ def _tile_symmetries(W):
     when every image word less t lies in W, since the images are |W|
     distinct words.
     """
-    if len(W[0]) == 1:
-        return [], []  # coordinate 0's negation is the orbit cut's
     cols = list(zip(*W))
     lo = list(map(min, cols))
     hi = list(map(max, cols))
@@ -633,7 +631,7 @@ def _tile_symmetries(W):
             if onto(image):
                 swaps.append((i, j))
     negations = []
-    for d in range(1, len(cols)):
+    for d in range(1, len(cols)):  # coordinate 0's negation is the orbit cut's
         image = cols[:]
         image[d] = [lo[d] + hi[d] - x for x in cols[d]]
         if onto(image):

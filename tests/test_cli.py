@@ -524,6 +524,19 @@ def test_verify_bound_uses_the_anticode_spread(tmp_path, monkeypatch):
     assert run(["verify", "--code", str(pl), "--window", "3"]) == EXIT_USAGE
 
 
+def test_verify_window_bound_comes_before_the_anticode(code_file, monkeypatch, capsys):
+    # DPL(3,12) has diameter 3, so R = 200 scans (2 * (200 + 3) + 1)^3
+    # points; the bound reads the diameter, not the enumerated anticode
+    def enumerate_anyway(self):
+        raise AssertionError("AnticodeSpec.points called")
+
+    with monkeypatch.context() as m:
+        m.setattr(codes.AnticodeSpec, "points", enumerate_anyway)
+        assert run(["verify", "--code", code_file, "--window", "200"]) == EXIT_USAGE
+    assert "407^3" in capsys.readouterr().err
+    assert run(["verify", "--code", code_file, "--window", "2"]) == EXIT_OK
+
+
 def _fields(node, path=()):
     """(path, value) of every field below node, depth first."""
     if isinstance(node, dict):

@@ -111,7 +111,7 @@ def test_double_sphere_size_matches_enumeration_all_axes(n, r):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("r", [0, 1, 2, 3])
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 4, 5])
 def test_spheres_match_brute_force_all_axes(n, r):
     sphere = brute_sphere(n, r)
     assert lee_sphere_size(n, r) == len(sphere)
