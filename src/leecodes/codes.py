@@ -241,13 +241,17 @@ def codeword_of_tile(code, l):
     return apply_transversal(code, l)
 
 
-def restrict_to_zq(code, q):
-    """Restriction to Z_q^n; requires q >= 1 and the code period to divide q."""
+def _check_modulus(q, p):
+    """DomainError unless q >= 1, PeriodicityError unless the period p divides q."""
     if q < 1:
         raise DomainError(f"modulus must be >= 1, got {q}")
-    p = period(code.hom)
     if q % p != 0:
         raise PeriodicityError(f"period {p} does not divide q = {q}")
+
+
+def restrict_to_zq(code, q):
+    """Restriction to Z_q^n; requires q >= 1 and the code period to divide q."""
+    _check_modulus(q, period(code.hom))
     return replace(code, q=q)
 
 

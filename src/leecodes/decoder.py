@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .codes import apply_transversal
-from .errors import ConstructionError, DomainError, PeriodicityError
+from .codes import _check_modulus, apply_transversal
+from .errors import ConstructionError
 from .tiling import apply_hom, period
 
 
@@ -65,9 +65,6 @@ def decode(table, a):
 
 def decode_modular(table, a, q):
     """Decode in Z_q^n: decode any lift, then reduce the codeword mod q."""
-    if q < 1:
-        raise DomainError(f"modulus must be >= 1, got {q}")
-    if q % table.period != 0:
-        raise PeriodicityError(f"period {table.period} does not divide q = {q}")
+    _check_modulus(q, table.period)
     res = decode(table, tuple(a))
     return tuple(x % q for x in res.codeword)

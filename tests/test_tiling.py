@@ -1,4 +1,5 @@
 import dataclasses
+import time
 from itertools import combinations, product
 from math import prod
 from operator import add
@@ -365,6 +366,22 @@ def test_abs_det_bounds_its_dense_core(monkeypatch):
     # a peel that leaves no core passes any bound
     monkeypatch.setattr(tiling, "MAX_BAREISS_CORE", 0)
     assert abs_det([(1, 5, 0), (0, 2, 0), (0, 0, 3)]) == 6
+
+
+def test_abs_det_peels_a_row_or_a_column_alike(monkeypatch):
+    # row 0 is the one singleton line of m, and column 0 the one of its
+    # transpose: each peel leaves the same 2 x 2 core [[1, 1], [1, 2]]
+    cores = []
+
+    def record(mat):
+        cores.append([list(row) for row in mat])
+        return det_bareiss(mat)
+
+    monkeypatch.setattr(tiling, "det_bareiss", record)
+    m = [(1, 0, 0), (1, 1, 1), (1, 1, 2)]
+    assert abs_det(m) == 1
+    assert abs_det(list(zip(*m))) == 1
+    assert cores == [[[1, 1], [1, 2]], [[1, 1], [1, 2]]]
 
 
 ENTRY = st.integers(-9, 9)
@@ -1069,6 +1086,61 @@ def test_tile_symmetries_of_asymmetric_tiles():
     # does too, but that negation is the orbit cut's)
     W = [(x, y) for x in range(2) for y in range(3)]
     assert tiling._tile_symmetries(W) == ([], [1])
+
+
+def test_tile_symmetries_within_classes():
+    # {0, 1}^2 x {0, 1, 2}^2: two classes of interchangeable coordinates
+    W = sorted(product(range(2), range(2), range(3), range(3)))
+    assert tiling._tile_symmetries(W) == ([(0, 1), (2, 3)], [1, 2, 3])
+    # the cross of Z^n: one class, every pair
+    n = 6
+    W = tiling._normalize_tile(lee_sphere(n, 1))
+    assert tiling._tile_symmetries(W) == (list(combinations(range(n), 2)),
+                                          list(range(1, n)))
+
+
+def _swapped(w, i, j):
+    return tuple(w[j] if k == i else w[i] if k == j else x for k, x in enumerate(w))
+
+
+def _pairwise_symmetries(W):
+    """Every swap and negation tested on its own, as sets up to translation."""
+    n = len(W[0])
+    key = tiling._normalize_tile(W)
+
+    def onto(f):
+        return tiling._normalize_tile([f(w) for w in W]) == key
+
+    return ([(i, j) for i, j in combinations(range(n), 2)
+             if onto(lambda w: _swapped(w, i, j))],
+            [d for d in range(1, n)
+             if onto(lambda w: w[:d] + (-w[d],) + w[d + 1:])])
+
+
+@st.composite
+def symmetric_tiles(draw):
+    """Small tiles, some closed under a few coordinate swaps."""
+    n = draw(st.integers(1, 5))
+    words = draw(st.sets(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=6))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3)):
+        words |= {_swapped(w, i, j) for w in words}
+    return tiling._normalize_tile(words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_tiles())
+def test_tile_symmetries_match_the_pairwise_reference(W):
+    assert tiling._tile_symmetries(W) == _pairwise_symmetries(W)
+
+
+def test_search_set_up_is_bounded_on_a_large_cross():
+    # one swap test per coordinate, not per pair: testing all 28 680 pairs
+    # took about a minute before the first node on a 2-vCPU VM
+    start = time.perf_counter()
+    res = search_lattice_tiling(lee_sphere(240, 1), budget=1)
+    assert res.status == BUDGET_EXCEEDED
+    assert time.perf_counter() - start < 15
 
 
 def _tuple_search_group(G, start, coeffs, budget, counts, failures, swaps, negations):
