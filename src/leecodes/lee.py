@@ -9,9 +9,10 @@ unordered; the dense lists are sorted views of those.
 
 from __future__ import annotations
 
-from itertools import combinations, compress, count, groupby, product, repeat
+from bisect import bisect_left
+from itertools import combinations, compress, count, groupby, islice, product, repeat
 from math import comb
-from operator import add, and_, itemgetter, mul, not_, sub
+from operator import add, and_, eq, itemgetter, mul, not_, sub
 
 from .errors import DimensionError, DomainError
 
@@ -45,8 +46,10 @@ def even_weight_members(words, axis=1):
     """sorted({even_weight_member(w, axis) for w in words}) for a sequence of
     words of one length.  Split by the parity of the coordinate sum, a
     sorted input gives two sorted runs, the even words and the odd ones
-    moved by e_axis, which one sort merges in linear time; distinct
-    words can move onto one member, so equal neighbours are dropped.
+    moved by e_axis, which one sort merges in linear time.  Two words
+    reach one member only when a word repeats, or an odd w and an even
+    w + e_axis are both given; one C-level scan of the merged run for
+    equal neighbours finds that, and only then are they dropped.
     """
     odd = list(map(and_, map(sum, words), repeat(1)))
     members = list(compress(words, map(not_, odd)))
@@ -56,7 +59,9 @@ def even_weight_members(words, axis=1):
         cols[axis - 1] = map(add, cols[axis - 1], repeat(1))
         members += zip(*cols)
     members.sort()
-    return list(map(itemgetter(0), groupby(members)))
+    if any(map(eq, members, islice(members, 1, None))):
+        return list(map(itemgetter(0), groupby(members)))
+    return members
 
 
 def nonzeros(w):
@@ -78,7 +83,7 @@ def _check_sphere(n, r):
         raise DomainError(f"radius must be >= 0, got {r}")
 
 
-def _sphere_sparse(n, r):
+def _sphere_sparse(n, r, bump=None):
     """The Lee sphere of radius r in Z^n in sparse form, by support.
 
     Support positions, magnitudes and signs are chosen in turn, so the
@@ -86,13 +91,33 @@ def _sphere_sparse(n, r):
     k magnitudes with sum <= r are the gaps between k cuts 0 < c_1 <
     ... < c_k <= r, so the cuts in lexicographic order give them in
     lexicographic order too.
+
+    With a 0-based coordinate bump, each word w of weight r with
+    w_bump >= 0 is followed by w + e_bump: the words of the double
+    sphere (see double_sphere_sparse).  The weight is the last cut, so
+    it is known once per support and magnitudes, and so is j, the index
+    that bump has or would take in the support: w_bump >= 0 holds for
+    every sign when bump is outside the support, else where the sign at
+    j is +, and w + e_bump is w with entry j raised by 1 or (bump, 1)
+    inserted at j.
     """
+    j = hit = 0
     for k in range(min(n, r) + 1):
         for positions in combinations(range(n), k):
+            if bump is not None:
+                j = bisect_left(positions, bump)
+                hit = j < k and positions[j] == bump
             for cuts in combinations(range(1, r + 1), k):
                 mags = tuple(map(sub, cuts, (0,) + cuts))
+                outer = bump is not None and (cuts[-1] if cuts else 0) == r
                 for signs in product((1, -1), repeat=k):
-                    yield tuple(zip(positions, map(mul, signs, mags)))
+                    w = tuple(zip(positions, map(mul, signs, mags)))
+                    yield w
+                    if outer:
+                        if not hit:
+                            yield w[:j] + ((bump, 1),) + w[j:]
+                        elif signs[j] > 0:
+                            yield w[:j] + ((bump, mags[j] + 1),) + w[j + 1:]
 
 
 def _dense(n, items):
@@ -113,33 +138,19 @@ def lee_sphere(n, r):
     return sorted(_dense(n, w) for w in lee_sphere_sparse(n, r))
 
 
-def _bump(items, k):
-    """Sparse w + e_k for a sparse w with w_k >= 0."""
-    for j, (i, x) in enumerate(items):
-        if i >= k:
-            if i == k:
-                return items[:j] + ((k, x + 1),) + items[j + 1:]
-            return items[:j] + ((k, 1),) + items[j:]
-    return items + ((k, 1),)
-
-
 def double_sphere_sparse(n, r, axis=1):
     """The words of double_sphere(n, r, axis) in sparse form, unordered.
 
     S(e_axis) = S(O) + e_axis, and w + e_axis for w in S(O) lies outside
     S(O) exactly when w has weight r and w_axis >= 0, so those are the
-    words added to S(O), each once.
+    words added to S(O), each once, right after their w.  _sphere_sparse
+    lists both, taking the weight from its cuts: no word is summed or
+    searched for its axis coordinate.
     """
     if not 1 <= axis <= n:
         raise DomainError(f"axis {axis} out of range 1..{n}")
     _check_sphere(n, r)
-    k = axis - 1
-    out = []
-    for w in _sphere_sparse(n, r):
-        out.append(w)
-        if sum(abs(x) for _, x in w) == r and dict(w).get(k, 0) >= 0:
-            out.append(_bump(w, k))
-    return out
+    return list(_sphere_sparse(n, r, axis - 1))
 
 
 def double_sphere(n, r, axis=1):

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 from .errors import DimensionError, DomainError, StructuralError, WindowError
 from .groups import FiniteAbelianGroup, element_order
-from .lee import double_sphere, double_sphere_sparse, even_weight_members, word_length
+from .lee import (double_sphere, double_sphere_size, double_sphere_sparse, even_weight_members,
+                  word_length)
 from .tiling import (Homomorphism, KernelBasis, _kernel_points, apply_hom_sparse,
                      exact_cover, lattice_basis, lex_sort, touch_box)
 
@@ -69,17 +70,18 @@ def verify_nonregular(hom, n):
     (1/2)e_1 and 2h = phi(e_1), a point v of V maps to phi(v) and v +
     (1/2)e_1 to phi(v) + h.  So phi is bijective on W iff |G| = 8n,
     phi is injective on the 4n points of V, and phi(V) does not meet
-    phi(V) + h.
+    phi(V) + h.  |G| is compared with 8n in closed form, and n with the
+    domain, before V is listed.
     """
     h = hom.half_image
     if h is None:
         raise StructuralError("homomorphism has no half image")
-    V = double_sphere_sparse(n, 1, 1)
     G = hom.group
-    if 2 * len(V) != G.order:
+    if 2 * double_sphere_size(n, 1) != G.order:
         return False
     if n > hom.n:
         raise DimensionError(f"the double cross of Z^{n} is outside the domain Z^{hom.n}")
+    V = double_sphere_sparse(n, 1, 1)
     image = {apply_hom_sparse(hom, v) for v in V}
     if len(image) != len(V) or not image.isdisjoint(G.add(g, h) for g in image):
         return False

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from bisect import bisect_left
+from functools import cached_property
 from itertools import combinations, compress, repeat
 from math import lcm, prod
 from operator import add, floordiv, itemgetter, mod, mul, not_, or_, sub
@@ -59,7 +60,8 @@ class Homomorphism:
     packed holds, per e_i, its image coordinates packed into one
     integer with coordinate j at bit offset j * width, and exponent is
     the exponent L of G; see the module docstring for why width
-    suffices.  None of them is part of ==, hash or repr.
+    suffices.  hnf, the checked Hermite basis of ker(phi), is computed
+    on first use and kept.  None of them is part of ==, hash or repr.
     """
 
     group: FiniteAbelianGroup
@@ -93,6 +95,14 @@ class Homomorphism:
     @property
     def n(self):
         return len(self.images)
+
+    @cached_property
+    def hnf(self):
+        """_kernel_hnf of phi, each row checked to lie in ker(phi); derived
+        once per map, for every kernel walk and kernel_basis on it."""
+        B = _kernel_hnf(self)
+        _check_in_kernel(self, B)
+        return B
 
 
 @dataclass(frozen=True)
@@ -342,7 +352,7 @@ def lattice_basis(hom, rows):
 def kernel_basis(hom):
     """Canonical lower-triangular basis of ker(phi); lattice_basis proves it
     (ConstructionError unless phi is onto G, as |det| = |phi(Z^n)|)."""
-    return lattice_basis(hom, _kernel_hnf(hom))
+    return lattice_basis(hom, hom.hnf)
 
 
 def period(hom):
@@ -353,14 +363,15 @@ def period(hom):
 def _kernel_points(hom, lo, hi):
     """All l with lo[i] <= l_i <= hi[i] and phi(l) = identity, by (l_{n-1}, ..., l_0).
 
-    Back substitution on the lower Hermite basis B of ker(phi), at a
-    cost of O(n) per point: every point is in the kernel by
-    construction, so phi is evaluated only on the n basis rows.  phi
-    need not be onto G.  A stack entry (j, part, suffix), j >= 1, has
-    l_{j+1..} = suffix chosen, and part[k], k <= j, is the sum of
-    z_i * B[i][k] over the rows i > j, so l_j = part[j] + z_j * B[j][j]
-    and the admissible l_j form the progression of step B[j][j] through
-    [lo[j], hi[j]], pushed from the top down so the least pops first.
+    Back substitution on the lower Hermite basis B = hom.hnf of
+    ker(phi), at a cost of O(n) per point: every point is in the kernel
+    by construction, and the map checked B's rows once, when it first
+    built B, so a walk evaluates phi nowhere.  phi need not be onto G.
+    A stack entry (j, part, suffix), j >= 1, has l_{j+1..} = suffix
+    chosen, and part[k], k <= j, is the sum of z_i * B[i][k] over the
+    rows i > j, so l_j = part[j] + z_j * B[j][j] and the admissible l_j
+    form the progression of step B[j][j] through [lo[j], hi[j]], pushed
+    from the top down so the least pops first.
     Level 1 pushes nothing: it walks its progression upwards carrying
     the one scalar part[0] + z_1 * B[1][0], which fixes l_0 modulo
     B[0][0], and emits the l_0 of each l_1 at once.  The largest pivot
@@ -369,8 +380,7 @@ def _kernel_points(hom, lo, hi):
     n = hom.n
     if n == 0:
         return [()]
-    B = _kernel_hnf(hom)
-    _check_in_kernel(hom, B)
+    B = hom.hnf
     d0, lo0, hi0 = B[0][0], lo[0], hi[0]
     if n == 1:
         return [(y,) for y in range(lo0 + -lo0 % d0, hi0 + 1, d0)]
@@ -426,15 +436,18 @@ def kernel_points_in_box(hom, bound):
 def _bitset(indices, size):
     """(the integer with bit i set for every i in indices, how many indices).
 
-    The indices must lie in 0..size-1; the integer is built in a
-    bytearray, so the cost is one small step per index and one pass
-    over size / 8 bytes.
+    The indices must lie in 0..size-1; a repeated one is counted again,
+    so a count above the integer's bit_count shows a repeat.  Bit i is
+    the ASCII '1' written at index ~i of a string of size '0' bytes,
+    and int(..., 2) reads the string back: both steps run in C, at a
+    transient cost of one byte per point.  Base 2 is exempt from
+    CPython's limit on the digits of an int string.
     """
-    buf = bytearray((size + 7) >> 3)
+    buf = bytearray(b"0") * size
     count = 0
     for count, i in enumerate(indices, 1):
-        buf[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(buf, "little"), count
+        buf[~i] = 49  # ord('1')
+    return int(buf, 2), count
 
 
 def _touching(cols, count, lo, hi, strides):
@@ -444,12 +457,13 @@ def _touching(cols, count, lo, hi, strides):
     see exact_cover.  (c_i - lo_i) // (hi_i - lo_i + 1) is 0 exactly
     when lo_i <= c_i <= hi_i, so the OR of those quotients is 0 exactly
     for the touching centers; only the columns with a value out of
-    range are tested.
+    range are tested.  A stride of 1, the first axis's, adds the column
+    as it is.
     """
     idx = repeat(-sum(map(mul, lo, strides)), count)
     away = None
     for col, a, b, st in zip(cols, lo, hi, strides):
-        idx = map(add, idx, map(mul, col, repeat(st)))
+        idx = map(add, idx, col if st == 1 else map(mul, col, repeat(st)))
         if min(col, default=a) < a or max(col, default=b) > b:
             q = map(floordiv, map(sub, col, repeat(a)), repeat(b - a + 1))
             away = q if away is None else map(or_, away, q)

@@ -135,6 +135,30 @@ def test_sparse_spheres_are_the_dense_ones(n, r):
         assert sorted(sparse) == sorted(map(nonzeros, double_sphere(n, r, axis)))
 
 
+def reference_double_sphere_sparse(n, r, axis):
+    """Each word of lee_sphere_sparse, in its order, followed by w + e_axis
+    when w has weight r and w_axis >= 0: a per-word weight test and a
+    dict lookup on every word."""
+    k = axis - 1
+    out = []
+    for w in lee_sphere_sparse(n, r):
+        out.append(w)
+        if sum(abs(x) for _, x in w) == r and dict(w).get(k, 0) >= 0:
+            bumped = dict(w)
+            bumped[k] = bumped.get(k, 0) + 1
+            out.append(tuple(sorted(bumped.items())))
+    return out
+
+
+@pytest.mark.parametrize("n, r", [(n, r) for n in range(1, 6) for r in range(5)]
+                         + [(96, 1), (192, 1)])
+def test_double_sphere_sparse_emission_order(n, r):
+    # the order, not only the set: every word, then its bump when it has one
+    axes = range(1, n + 1) if n <= 5 else (1, 2, n // 2, n)
+    for axis in axes:
+        assert double_sphere_sparse(n, r, axis) == reference_double_sphere_sparse(n, r, axis)
+
+
 def test_lee_sphere_size_domain():
     assert lee_sphere_size(1024, 1) == 2049
     assert lee_sphere_size(3, 10 ** 12) > 10 ** 36

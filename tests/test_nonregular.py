@@ -20,6 +20,7 @@ from leecodes import (
     verify_cover,
     verify_nonregular,
 )
+from leecodes import nonregular
 from leecodes.errors import DimensionError, DomainError, StructuralError, WindowError
 from leecodes.groups import FiniteAbelianGroup, element_order
 from leecodes.lee import even_weight_member
@@ -116,6 +117,18 @@ def test_verify_nonregular_errors_and_wrong_groups():
     G40 = FiniteAbelianGroup((40,))
     short = Homomorphism(G40, ((6,), (1,), (13,)), half_image=(3,))
     with pytest.raises(DimensionError):  # the double cross of Z^5 in Z^3
+        verify_nonregular(short, 5)
+
+
+def test_verify_nonregular_refuses_before_listing(monkeypatch):
+    def no_listing(*args):
+        raise AssertionError("the double cross was listed")
+
+    monkeypatch.setattr(nonregular, "double_sphere_sparse", no_listing)
+    # |G| = 24 != 8 * 10**6, read from the closed-form size
+    assert verify_nonregular(construct_double_cross_hom(3), 10 ** 6) is False
+    short = Homomorphism(FiniteAbelianGroup((40,)), ((6,), (1,), (13,)), half_image=(3,))
+    with pytest.raises(DimensionError):
         verify_nonregular(short, 5)
 
 

@@ -20,7 +20,8 @@ from leecodes import (
     search_lattice_tiling,
     verify_window_tiling,
 )
-from leecodes import construct_dpl4, construct_pl1, tiling
+from leecodes import (construct_dpl4, construct_pl1, codewords_mod_q, min_distance_window,
+                      restrict_to_zq, tiling)
 from leecodes.errors import (
     ConstructionError,
     DimensionError,
@@ -114,6 +115,11 @@ def test_columns_are_not_part_of_equality():
         assert not compared[name]
         assert name not in repr(hom)
     assert not hasattr(hom, "columns")
+    # so is the Hermite basis a map keeps once a kernel walk has built it
+    fresh = Homomorphism(Z5, ((1,), (2,)))
+    kernel_basis(hom)
+    assert "hnf" in vars(hom) and "hnf" not in vars(fresh)
+    assert hom == fresh and hash(hom) == hash(fresh) and repr(hom) == repr(fresh)
 
 
 def test_apply_hom_dimension_check():
@@ -580,6 +586,50 @@ def test_exact_cover_center_far_outside_the_padded_box():
     for far in [(10 ** 30, 0), (0, -10 ** 30), (R + 2, 0), (-R - 2, -R - 2)]:
         assert exact_cover(centers + [far, far], cross, R)
     assert not exact_cover([(10 ** 30, 0)] + centers[1:], cross, R)
+
+
+def reference_bitset(indices, size):
+    buf = bytearray((size + 7) >> 3)
+    for i in indices:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
+def test_bitset_edges():
+    assert tiling._bitset([], 5) == (0, 0)
+    assert tiling._bitset(iter(()), 1) == (0, 0)
+    assert tiling._bitset([0], 1) == (1, 1)
+    assert tiling._bitset([4], 5) == (1 << 4, 1)  # bit size - 1
+    assert tiling._bitset(iter([0, 4, 2]), 5) == (0b10101, 3)
+    # a repeat is counted again: exact_cover finds a center given twice
+    # by a count above the bit count
+    x, count = tiling._bitset([3, 1, 3], 8)
+    assert (x, count) == (0b1010, 3)
+    assert x.bit_count() < count
+
+
+def test_bitset_of_a_hundred_thousand_bits():
+    # int(..., 2) reads 10^5 binary digits: base 2 is exempt from
+    # CPython's 4300-digit limit on int strings
+    size = 10 ** 5
+    indices = list(range(size - 1, -1, -7)) + [0, size - 1]
+    x, count = tiling._bitset(indices, size)
+    assert count == len(indices)
+    assert x == reference_bitset(indices, size)
+    assert x.bit_length() == size
+
+
+def test_hermite_basis_is_built_once_per_map(monkeypatch):
+    calls = []
+    real = tiling._kernel_hnf
+    monkeypatch.setattr(tiling, "_kernel_hnf", lambda hom: calls.append(hom) or real(hom))
+    code = construct_dpl4(3, 12)
+    verify_window_tiling(code.hom, code.anticode.points(), 3)
+    kernel_points_in_box(code.hom, 4)
+    min_distance_window(code, 3)
+    codewords_mod_q(restrict_to_zq(code, 12))
+    kernel_basis(code.hom)
+    assert calls == [code.hom]
 
 
 def test_bijection_iff_window_tiling():
