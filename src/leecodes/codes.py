@@ -10,7 +10,6 @@ minimum-distance validation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import prod
 
@@ -23,6 +22,7 @@ from .errors import (
     PeriodicityError,
     SizeError,
     WindowError,
+    _Frozen,
 )
 from .groups import FiniteAbelianGroup, factorize
 from .lee import (
@@ -63,14 +63,14 @@ TRANSVERSAL_OF = {SPHERE: IDENTITY, DOUBLE_SPHERE: EVEN_WEIGHT}
 MAX_ANTICODE_POINTS = 2 ** 17
 
 
-@dataclass(frozen=True)
-class AnticodeSpec:
-    kind: str
-    n: int
-    r: int
-    axis: int = 1
+class AnticodeSpec(_Frozen):
+    _fields = ("kind", "n", "r", "axis")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, n: int, r: int, axis: int = 1):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "axis", axis)
         if self.kind not in (SPHERE, DOUBLE_SPHERE):
             raise DomainError(f"unknown anticode kind {self.kind!r}")
         if not 1 <= self.axis <= self.n:
@@ -100,17 +100,22 @@ class AnticodeSpec:
         return 2 * self.r if self.kind == SPHERE else 2 * self.r + 1
 
 
-@dataclass(frozen=True)
-class LinearLeeCode:
+class LinearLeeCode(_Frozen):
     """A code is its anticode, phi and a kernel basis, with an optional
     modulus q; n, the transversal and phi's inverse on the anticode are
-    derived from them."""
+    derived from them.  blocks, the image blocks construct_dpl4 laid
+    out, is shown in repr but outside == and hash."""
 
-    anticode: AnticodeSpec
-    hom: Homomorphism
-    basis: KernelBasis
-    q: int | None = None
-    blocks: tuple | None = field(default=None, compare=False)
+    _fields = ("anticode", "hom", "basis", "q")
+    _shown = _fields + ("blocks",)
+
+    def __init__(self, anticode: AnticodeSpec, hom: Homomorphism, basis: KernelBasis,
+                 q: int | None = None, blocks: tuple | None = None):
+        object.__setattr__(self, "anticode", anticode)
+        object.__setattr__(self, "hom", hom)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def n(self):
@@ -252,7 +257,7 @@ def _check_modulus(q, p):
 def restrict_to_zq(code, q):
     """Restriction to Z_q^n; requires q >= 1 and the code period to divide q."""
     _check_modulus(q, period(code.hom))
-    return replace(code, q=q)
+    return LinearLeeCode(code.anticode, code.hom, code.basis, q, code.blocks)
 
 
 def codewords_mod_q(code):

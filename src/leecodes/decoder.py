@@ -10,28 +10,24 @@ codeword of the tile at l.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .codes import _check_modulus, apply_transversal
-from .errors import ConstructionError
+from .errors import ConstructionError, _Frozen
 from .tiling import apply_hom, period
 
 
-@dataclass(frozen=True)
-class DecoderTable:
+class DecoderTable(_Frozen):
     """phi's inverse on the anticode of code, and the code's period.
 
-    Both are derived from code, and replace(table, code=...) derives
-    them again, so inverse[g] is the sparse form of an anticode point
-    with phi = g for every g in G.  The inverse is the code's own
-    (code.inverse), computed once however many tables share the code.
+    Both are derived from code, so inverse[g] is the sparse form of an
+    anticode point with phi = g for every g in G, and neither is part
+    of ==, hash or repr.  The inverse is the code's own (code.inverse),
+    computed once however many tables share the code.
     """
 
-    code: "LinearLeeCode"
-    inverse: dict = field(init=False, repr=False, compare=False)
-    period: int = field(init=False, repr=False, compare=False)
+    _fields = ("code",)
 
-    def __post_init__(self):
+    def __init__(self, code: "LinearLeeCode"):
+        object.__setattr__(self, "code", code)
         inv = self.code.inverse
         if inv is None:
             raise ConstructionError("phi is not bijective on the anticode")
@@ -44,10 +40,12 @@ def build_decoder_table(code):
     return DecoderTable(code)
 
 
-@dataclass(frozen=True)
-class DecodeResult:
-    codeword: tuple
-    tile_vector: tuple
+class DecodeResult(_Frozen):
+    _fields = ("codeword", "tile_vector")
+
+    def __init__(self, codeword: tuple, tile_vector: tuple):
+        object.__setattr__(self, "codeword", codeword)
+        object.__setattr__(self, "tile_vector", tile_vector)
 
 
 def decode(table, a):

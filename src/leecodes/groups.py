@@ -9,19 +9,17 @@ keyed by height sequences and need prime-power factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd, lcm, prod
 
-from .errors import DomainError, StructuralError
+from .errors import DomainError, StructuralError, _Frozen
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
-    factors: tuple
+class FiniteAbelianGroup(_Frozen):
+    _fields = ("factors",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
+    def __init__(self, factors: tuple):
+        object.__setattr__(self, "factors", tuple(factors))
         if any(type(t) is not int for t in self.factors):
             raise DomainError(f"cyclic factors must be integers: {self.factors}")
         if any(t < 2 for t in self.factors):

@@ -14,9 +14,8 @@ diameter-4 codes on the window.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
-from .errors import DimensionError, DomainError, StructuralError, WindowError
+from .errors import DimensionError, DomainError, StructuralError, WindowError, _Frozen
 from .groups import FiniteAbelianGroup, element_order
 from .lee import (double_sphere, double_sphere_size, double_sphere_sparse, even_weight_members,
                   word_length)
@@ -116,11 +115,14 @@ def component_index_n3(center):
     return (K2, (s - 2) // 6)
 
 
-@dataclass(frozen=True)
-class ShiftedWindowTiling:
-    R: int
-    bits: str
-    centers: tuple  # integer 3-tuples, sorted lexicographically
+class ShiftedWindowTiling(_Frozen):
+    _fields = ("R", "bits", "centers")
+
+    def __init__(self, R: int, bits: str, centers: tuple):
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "bits", bits)
+        # integer 3-tuples, sorted lexicographically
+        object.__setattr__(self, "centers", centers)
 
     def to_dict(self):
         return {"R": self.R, "bits": self.bits,

@@ -29,7 +29,6 @@ raised a decode from 25 to 43 us.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from bisect import bisect_left
 from functools import cached_property
 from itertools import combinations, compress, repeat
@@ -42,6 +41,7 @@ from .errors import (
     DomainError,
     SizeError,
     StructuralError,
+    _Frozen,
 )
 from .groups import (
     FiniteAbelianGroup,
@@ -53,8 +53,7 @@ from .groups import (
 from .lee import nonzeros, word_length
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(_Frozen):
     """Images of e_1..e_n in G; half_image, when set, is the image of (1/2)e_1.
 
     packed holds, per e_i, its image coordinates packed into one
@@ -64,15 +63,13 @@ class Homomorphism:
     on first use and kept.  None of them is part of ==, hash or repr.
     """
 
-    group: FiniteAbelianGroup
-    images: tuple
-    half_image: tuple | None = None
-    packed: tuple = field(init=False, repr=False, compare=False)
-    width: int = field(init=False, repr=False, compare=False)
-    exponent: int = field(init=False, repr=False, compare=False)
+    _fields = ("group", "images", "half_image")
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(tuple(g) for g in self.images))
+    def __init__(self, group: FiniteAbelianGroup, images: tuple,
+                 half_image: tuple | None = None):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "images", tuple(tuple(g) for g in images))
+        object.__setattr__(self, "half_image", half_image)
         for g in self.images:
             if not self.group.contains(g):
                 raise StructuralError(f"image {g} not in group {self.group.factors}")
@@ -105,10 +102,12 @@ class Homomorphism:
         return B
 
 
-@dataclass(frozen=True)
-class KernelBasis:
-    rows: tuple
-    det_abs: int
+class KernelBasis(_Frozen):
+    _fields = ("rows", "det_abs")
+
+    def __init__(self, rows: tuple, det_abs: int):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "det_abs", det_abs)
 
 
 def _unpack(hom, x):
@@ -577,14 +576,17 @@ MAX_FAILURES = 1024
 SEARCH_MEMO_CAP = 2 ** 18
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    status: str
-    hom: Homomorphism | None
-    groups_tried: int
-    assignments_tried: int
-    nodes: int
-    failures: tuple
+class SearchResult(_Frozen):
+    _fields = ("status", "hom", "groups_tried", "assignments_tried", "nodes", "failures")
+
+    def __init__(self, status: str, hom: Homomorphism | None, groups_tried: int,
+                 assignments_tried: int, nodes: int, failures: tuple):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "hom", hom)
+        object.__setattr__(self, "groups_tried", groups_tried)
+        object.__setattr__(self, "assignments_tried", assignments_tried)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "failures", failures)
 
     def certificate(self):
         if self.status == FOUND:

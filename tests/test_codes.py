@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from itertools import product
 from math import prod
 
@@ -239,7 +238,8 @@ def test_codeword_of_tile():
 def test_codeword_of_tile_odd_branch():
     # a kernel lattice with odd-weight points exercises the +e_1 shift
     pl1 = construct_pl1(2)
-    code = replace(pl1, anticode=AnticodeSpec(DOUBLE_SPHERE, 2, 1))
+    code = LinearLeeCode(AnticodeSpec(DOUBLE_SPHERE, 2, 1), pl1.hom, pl1.basis, pl1.q,
+                         pl1.blocks)
     l = (5, 0)  # kernel vector of odd Lee weight
     assert codeword_of_tile(code, l) == (6, 0)
     assert lee_weight(codeword_of_tile(code, l)) % 2 == 0
@@ -308,7 +308,9 @@ def _odd_kernel_code(n, axis):
     """The PL(n,1) kernel under the even-weight transversal on `axis`: its
     odd-weight kernel points shift by e_axis, so the codewords are not a
     lattice."""
-    return replace(construct_pl1(n), anticode=AnticodeSpec(DOUBLE_SPHERE, n, 1, axis))
+    pl1 = construct_pl1(n)
+    return LinearLeeCode(AnticodeSpec(DOUBLE_SPHERE, n, 1, axis), pl1.hom, pl1.basis, pl1.q,
+                         pl1.blocks)
 
 
 @pytest.mark.parametrize("code", [_code(*c) for c in CERTIFY_CODES]
