@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
+from itertools import repeat
 from math import prod
 
 from .errors import (
@@ -34,7 +35,6 @@ from .lee import (
     lee_sphere,
     lee_sphere_size,
     lee_sphere_sparse,
-    lee_weight,
 )
 from .tiling import (
     Homomorphism,
@@ -318,7 +318,8 @@ def min_distance_window(code, R):
     cws = codewords_in_window(code, R)
     if len(cws) < 2:
         raise WindowError(f"fewer than 2 codewords inside [-{R},{R}]^n")
-    return min(lee_weight(c) for c in cws if any(c))
+    # the Lee weight of each word in C (sum of abs), 0 only for the origin
+    return min(filter(None, map(sum, map(map, repeat(abs), cws))))
 
 
 # --- canonical JSON descriptor -------------------------------------------

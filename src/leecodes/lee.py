@@ -20,7 +20,7 @@ from .errors import DimensionError, DomainError
 def lee_weight(w, q=None):
     """Lee weight of a word: distance to the origin (optionally mod q)."""
     if q is None:
-        return sum(abs(x) for x in w)
+        return sum(map(abs, w))
     if q < 2:
         raise DomainError(f"modulus must be >= 2, got {q}")
     total = 0

@@ -2,24 +2,26 @@
 
 Points of the lattice generated by (1/2)e_1, e_2, ..., e_n are stored
 exactly with a doubled first coordinate; no floating point anywhere.
-The double cross W = V | (V + (1/2)e_1) is checked on the 4n words of
-V, in sparse form: phi maps V + (1/2)e_1 onto phi(V) + h, so one set
-of 4n images and its shift by h decide the bijection on W.  The n=3
-family shifts diagonal connectivity components of the tiling per a
-finite bit string, yielding pairwise-distinct integer-centered window
-tilings and, through the even-weight transversal, non-lattice
-diameter-4 codes on the window.
+The double cross W = V | (V + (1/2)e_1) is checked in closed form,
+without listing V: phi maps V + (1/2)e_1 onto phi(V) + h, and the 4n
+images of V unpack sums of at most two packed images phi(e_i) (see
+verify_nonregular), so one set of them and its shift by h decide the
+bijection on W.  The n=3 family shifts diagonal connectivity
+components of the tiling per a finite bit string, yielding
+pairwise-distinct integer-centered window tilings and, through the
+even-weight transversal, non-lattice diameter-4 codes on the window;
+its half-lattice map and tile are built once per process, on first use.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cache
 
 from .errors import DimensionError, DomainError, StructuralError, WindowError, _Frozen
 from .groups import FiniteAbelianGroup, element_order
-from .lee import (double_sphere, double_sphere_size, double_sphere_sparse, even_weight_members,
-                  word_length)
-from .tiling import (Homomorphism, KernelBasis, _kernel_points, apply_hom_sparse,
+from .lee import double_sphere, double_sphere_size, even_weight_members, word_length
+from .tiling import (Homomorphism, KernelBasis, _double_cross_images, _kernel_points,
                      exact_cover, lattice_basis, lex_sort, touch_box)
 
 K1 = "K1"
@@ -69,22 +71,38 @@ def verify_nonregular(hom, n):
     (1/2)e_1 and 2h = phi(e_1), a point v of V maps to phi(v) and v +
     (1/2)e_1 to phi(v) + h.  So phi is bijective on W iff |G| = 8n,
     phi is injective on the 4n points of V, and phi(V) does not meet
-    phi(V) + h.  |G| is compared with 8n in closed form, and n with the
-    domain, before V is listed.
+    phi(V) + h.  V is never listed: V = {0, 2e_1} | {+-e_i} | {e_1 +-
+    e_i : i >= 2}, so its images unpack the packed sums 0, (2 mod L)
+    p_1, p_i, (L - 1) p_i, p_1 + p_i and p_1 + (L - 1) p_i of p_i =
+    hom.packed[i - 1], and phi(V) + h unpacks them plus the packed h.  A
+    field of those sums is at most 2(L - 1)(t - 1) + (t - 1), below the
+    2^width > 2 hom.n (L - 1)(t - 1) of the packed layout for hom.n >=
+    2, so no field carries (tiling._double_cross_images).  The half
+    image is checked first, then n >= 1; |G| is compared with 8n in
+    closed form, and n with the domain, before anything of size n is
+    built.
     """
-    h = hom.half_image
-    if h is None:
+    if hom.half_image is None:
         raise StructuralError("homomorphism has no half image")
     G = hom.group
     if 2 * double_sphere_size(n, 1) != G.order:
         return False
     if n > hom.n:
         raise DimensionError(f"the double cross of Z^{n} is outside the domain Z^{hom.n}")
-    V = double_sphere_sparse(n, 1, 1)
-    image = {apply_hom_sparse(hom, v) for v in V}
-    if len(image) != len(V) or not image.isdisjoint(G.add(g, h) for g in image):
+    image, shifted = _double_cross_images(hom, n)
+    image = set(image)
+    if len(image) != G.order // 2 or not image.isdisjoint(shifted):
         return False
-    return any(element_order(g, G) == G.order for g in hom.images[1:])
+    order = G.order
+    return any(element_order(g, G) == order for g in hom.images[1:])
+
+
+@cache
+def _n3():
+    """(half, tile): the n=3 half-lattice map and its tile double_sphere(3,
+    1, 1) as a tuple, built on first use and kept for the process, so the
+    map's Hermite basis is derived once."""
+    return half_lattice_hom(construct_double_cross_hom(3)), tuple(double_sphere(3, 1, 1))
 
 
 def half_kernel_basis():
@@ -95,7 +113,7 @@ def half_kernel_basis():
     which is 12 in cube volume: a KernelBasis of the doubled rows and
     det_abs 12.
     """
-    half = half_lattice_hom(construct_double_cross_hom(3))
+    half, _ = _n3()
     kb = lattice_basis(half, ((-1, 3, 0), (0, 24, 0), (0, 13, -1)))
     return KernelBasis(rows=kb.rows, det_abs=kb.det_abs // 2)
 
@@ -151,7 +169,8 @@ def shifted_tiling_n3(bits, R):
             f"window R = {R} too small for {len(bits)} components; need >= "
             f"{6 * len(bits) + 6}"
         )
-    (lo1, lo2, lo3), (hi1, hi2, hi3) = touch_box(double_sphere(3, 1, 1), R)
+    half, tile = _n3()
+    (lo1, lo2, lo3), (hi1, hi2, hi3) = touch_box(tile, R)
     # doubled shift of every center with x_2 + x_3 = s: 0 on K1, +-1 on K2
     shift = {}
     for s in range(lo2 + lo3, hi2 + hi3 + 1):
@@ -160,7 +179,6 @@ def shifted_tiling_n3(bits, R):
         shift[s] = 0 if kind == K1 else 1 if up else -1
     # a shift of at most 1/2 along axis 1 brings d1 / 2 into [lo1, hi1]
     # only from d1 in [2 * lo1 - 1, 2 * hi1 + 1]
-    half = half_lattice_hom(construct_double_cross_hom(3))
     box = _kernel_points(half, [2 * lo1 - 1, lo2, lo3], [2 * hi1 + 1, hi2, hi3])
     centers = []
     for d1, x2, x3 in box:
@@ -179,7 +197,7 @@ def shifted_tiling_n3(bits, R):
 
 def verify_cover(tiling):
     """Exact-cover oracle: each window point in exactly one translate."""
-    return exact_cover(tiling.centers, double_sphere(3, 1, 1), tiling.R)
+    return exact_cover(tiling.centers, _n3()[1], tiling.R)
 
 
 def code_from_window_tiling(tiling):

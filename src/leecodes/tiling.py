@@ -3,10 +3,11 @@
 A homomorphism Z^n -> G is determined by the images of the unit vectors.
 The restriction being a bijection on a tile V is equivalent to the
 kernel lattice tiling Z^n by V; this module provides the evaluation
-of phi (the only one in the package, dense or sparse), its inverse on
-a tile (the bijection check), the proof that given rows are a basis of
-ker(phi), an exact kernel-basis extraction, the kernel points of a box
-by back substitution on that basis, the tiling period, a finite-window
+of phi (the only one in the package, dense, sparse or on the double
+cross of the non-regular check), its inverse on a tile (the bijection
+check), the proof that given rows are a basis of ker(phi), an exact
+kernel-basis extraction, the kernel points of a box by back
+substitution on that basis, the tiling period, a finite-window
 exact-cover oracle on big-integer bitsets (one shift per tile member
 over the whole padded window), and the exhaustive search over groups
 and image assignments.
@@ -146,6 +147,33 @@ def apply_hom_sparse(hom, items):
     packed = hom.packed
     L = hom.exponent
     return _unpack(hom, sum(x % L * packed[i] for i, x in items))
+
+
+def _double_cross_images(hom, n):
+    """phi(V) and phi(V) + h, V = double_sphere(n, 1, 1) and h the half
+    image, as two iterators of 4n images each.
+
+    V is {0, 2e_1} | {+-e_i : i <= n} | {e_1 +- e_i : 2 <= i <= n}, so with
+    p_i = packed_i and L the exponent, phi(V) unpacks the sums 0, (2 mod
+    L) p_1, p_i, (L - 1) p_i, p_1 + p_i and p_1 + (L - 1) p_i, the
+    reduced sums apply_hom_sparse forms, and phi(V) + h unpacks them
+    plus the packed h.  A field of those sums is at most 2(L - 1)(t - 1)
+    + (t - 1), t the largest factor, which stays below the 2^width >
+    2 hom.n (L - 1)(t - 1) of the packed layout for hom.n >= 2 (n = 1
+    has no two-term sum, and its fields stay at most L(t - 1) <= 2(L -
+    1)(t - 1)), so no field carries into the next.  Requires 1 <= n <=
+    hom.n and a half image.
+    """
+    p = hom.packed[:n]
+    L = hom.exponent
+    neg = list(map(mul, p, repeat(L - 1)))
+    sums = [0, 2 % L * p[0], *p, *neg]
+    sums += map(add, repeat(p[0]), p[1:])
+    sums += map(add, repeat(p[0]), neg[1:])
+    w = hom.width
+    h = sum(x << j * w for j, x in enumerate(hom.half_image))  # packed as the images are
+    return (map(_unpack, repeat(hom), sums),
+            map(_unpack, repeat(hom), map(add, sums, repeat(h))))
 
 
 def inverse_on(hom, words):

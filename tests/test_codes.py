@@ -39,6 +39,7 @@ from leecodes.errors import (
     DomainError,
     MembershipError,
     PeriodicityError,
+    WindowError,
 )
 from leecodes.groups import FiniteAbelianGroup
 from leecodes.tiling import (Homomorphism, KernelBasis, _kernel_hnf, _kernel_points, abs_det,
@@ -429,6 +430,28 @@ def test_min_distance_examples():
     assert min_distance_window(construct_dpl4(3, 12), 24) == 4
     assert min_distance_window(construct_dpl4(2, 8), 24) == 4
     assert min_distance_window(construct_pl1(2), 10) == 3
+
+
+@st.composite
+def dpl_and_pl_codes(draw):
+    """DPL(n, 4) over Z_q for an admissible q, or PL(n, 1), n in 2..5."""
+    n = draw(st.integers(2, 5))
+    qs = [q for q in range(4, 4 * n + 1, 4) if is_admissible_q(n, q)]
+    if draw(st.booleans()):
+        return construct_dpl4(n, draw(st.sampled_from(qs)))
+    return construct_pl1(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(dpl_and_pl_codes(), random_codes()), st.integers(1, 4))
+def test_min_distance_window_is_the_least_weight_in_the_window(code, R):
+    cws = codewords_in_window(code, R)
+    if len(cws) < 2:
+        with pytest.raises(WindowError):
+            min_distance_window(code, R)
+    else:
+        want = min(sum(abs(x) for x in c) for c in cws if any(c))
+        assert min_distance_window(code, R) == want
 
 
 def test_min_distance_matches_pairwise_scan():

@@ -196,6 +196,23 @@ def test_word_length():
         parse_words("0,0\n1")
 
 
+def generator_lee_weight(w, q=None):
+    """lee_weight as a generator expression per coordinate."""
+    if q is None:
+        return sum(abs(x) for x in w)
+    return sum(min(x % q, q - x % q) for x in w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-10 ** 20, 10 ** 20), max_size=8),
+       st.one_of(st.none(), st.integers(2, 50), st.integers(2, 10 ** 20)))
+def test_lee_weight_matches_the_generator_form(w, q):
+    want = generator_lee_weight(w, q)
+    assert lee_weight(tuple(w), q) == want
+    assert lee_weight(w, q) == want
+    assert lee_weight(iter(w), q) == want
+
+
 def test_lee_weight_modular():
     assert lee_weight((4, 4), q=8) == 8
     assert lee_weight((7,), q=8) == 1

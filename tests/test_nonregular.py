@@ -1,6 +1,6 @@
 import random
 from itertools import product
-from math import gcd
+from math import gcd, lcm, prod
 from operator import add
 
 import pytest
@@ -30,7 +30,8 @@ from leecodes.nonregular import (
     half_lattice_hom,
     lex_sort,
 )
-from leecodes.tiling import Homomorphism, apply_hom, is_bijection_on, touch_box
+from leecodes.tiling import (Homomorphism, _double_cross_images, apply_hom, is_bijection_on,
+                             touch_box)
 
 
 def half_kernel_centers(bound):
@@ -52,13 +53,30 @@ def dense_double_cross(n):
 
 
 def dense_verify_nonregular(hom, n):
-    """The reference check: phi bijective on the dense 8n-point W and a
-    generator among phi(e_2..e_n)."""
+    """The reference check: phi bijective on the dense 8n-point W, its
+    words padded with zeros to the domain Z^hom.n, and a generator among
+    phi(e_2), ..., phi(e_hom.n)."""
     W = dense_double_cross(n)
     G = hom.group
-    if len(W) != G.order or not is_bijection_on(half_lattice_hom(hom), W):
+    pad = (0,) * max(hom.n - n, 0)
+    if len(W) != G.order or not is_bijection_on(half_lattice_hom(hom), [w + pad for w in W]):
         return False
     return any(element_order(g, G) == G.order for g in hom.images[1:])
+
+
+def dense_double_cross_images(hom, n):
+    """phi(V) and phi(V) + h, sorted, by apply_hom on the dense W: in
+    doubled form V is the words of W with an even first coordinate."""
+    half = half_lattice_hom(hom)
+    pad = (0,) * (hom.n - n)
+    W = dense_double_cross(n)
+    return tuple(sorted(apply_hom(half, w + pad) for w in W if w[0] % 2 == parity)
+                 for parity in (0, 1))
+
+
+def assert_matches_the_dense_reference(hom, n):
+    assert verify_nonregular(hom, n) == dense_verify_nonregular(hom, n)
+    assert tuple(map(sorted, _double_cross_images(hom, n))) == dense_double_cross_images(hom, n)
 
 
 def test_sparse_double_cross_matches_the_dense_reference():
@@ -107,6 +125,74 @@ def test_verify_nonregular_matches_the_dense_reference(case):
     assert verify_nonregular(hom, n) == dense_verify_nonregular(hom, n)
 
 
+@st.composite
+def any_group_half_lattice_maps(draw):
+    """(hom, n): a map of Z^m, n <= m <= n + 2 and n in 1..24, with phi(e_1)
+    = 2h for its half image h, into a group of order 8n: Z_{8n}, the
+    non-cyclic Z_{4n} x Z_2 and Z_{2n} x Z_2^2, or, for n not a power of
+    2, Z_{8n} as the two factors Z_{8 low} x Z_odd, n = low * odd; the
+    factors in any order.  Either every image is random, or, on a cyclic
+    group, the double-cross map of n is carried over by the Chinese
+    remainder map and given random images of e_{n+1}, ..., e_m, and
+    maybe one image redrawn."""
+    n = draw(st.integers(1, 24))
+    low = n & -n
+    shapes = [(8 * n,), (4 * n, 2), (2 * n, 2, 2)]
+    if n != low:
+        shapes.append((8 * low, n // low))
+    factors = tuple(draw(st.permutations(draw(st.sampled_from(shapes)))))
+    G = FiniteAbelianGroup(factors)
+    m = n + draw(st.integers(0, 2))
+    elem = st.tuples(*(st.integers(0, t - 1) for t in factors))
+    if n != low and prod(factors) == lcm(*factors) and draw(st.booleans()):
+        hom = construct_double_cross_hom(n)
+        h = tuple(hom.half_image[0] % t for t in factors)
+        rest = [tuple(x % t for t in factors) for (x,) in hom.images[1:]]
+        rest += draw(st.lists(elem, min_size=m - n, max_size=m - n))
+        if draw(st.booleans()):
+            rest[draw(st.integers(0, m - 2))] = draw(elem)
+    else:
+        h = draw(elem)
+        rest = draw(st.lists(elem, min_size=m - 1, max_size=m - 1))
+    return Homomorphism(G, (G.add(h, h),) + tuple(rest), half_image=h), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_group_half_lattice_maps())
+def test_verify_nonregular_matches_the_dense_reference_on_any_group(case):
+    assert_matches_the_dense_reference(*case)
+
+
+def test_verify_nonregular_on_a_larger_domain_and_two_factors():
+    # the double-cross maps of n = 3 and 6 with two more images, on Z_8n
+    # and on the same group as Z_{8 low} x Z_odd: still certified
+    for n in (3, 6):
+        hom = construct_double_cross_hom(n)
+        low = n & -n
+        for factors in ((8 * n,), (8 * low, n // low), (n // low, 8 * low)):
+            G = FiniteAbelianGroup(factors)
+            def crt(g):
+                return tuple(g[0] % t for t in factors)
+            wide = Homomorphism(G, tuple(map(crt, hom.images)) + (G.identity, crt((1,))),
+                                half_image=crt(hom.half_image))
+            assert verify_nonregular(wide, n) is True
+            assert_matches_the_dense_reference(wide, n)
+
+
+@pytest.mark.parametrize("factors", [(8,), (4, 2), (2, 2, 2), (16,), (8, 2), (2, 8), (4, 4),
+                                     (4, 2, 2), (2, 2, 2, 2)])
+def test_verify_nonregular_matches_the_dense_reference_for_every_map_at_n_1_and_2(factors):
+    # n = hom.n = 2 leaves the packed layout the least room over the
+    # fields of the double cross's sums, and n = 1 has no two-term sum:
+    # every map of every group of order 8n
+    G = FiniteAbelianGroup(factors)
+    n = G.order // 8
+    for h in G.elements():
+        for rest in product(G.elements(), repeat=n - 1):
+            assert_matches_the_dense_reference(
+                Homomorphism(G, (G.add(h, h),) + rest, half_image=h), n)
+
+
 def test_verify_nonregular_errors_and_wrong_groups():
     hom = construct_double_cross_hom(3)
     with pytest.raises(StructuralError):  # no half image, checked first
@@ -124,7 +210,8 @@ def test_verify_nonregular_refuses_before_listing(monkeypatch):
     def no_listing(*args):
         raise AssertionError("the double cross was listed")
 
-    monkeypatch.setattr(nonregular, "double_sphere_sparse", no_listing)
+    # the one call that builds anything of size n: the images of V
+    monkeypatch.setattr(nonregular, "_double_cross_images", no_listing)
     # |G| = 24 != 8 * 10**6, read from the closed-form size
     assert verify_nonregular(construct_double_cross_hom(3), 10 ** 6) is False
     short = Homomorphism(FiniteAbelianGroup((40,)), ((6,), (1,), (13,)), half_image=(3,))
