@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
-from itertools import combinations, compress, repeat
+from itertools import compress, repeat
 from math import lcm, prod
 from operator import add, floordiv, itemgetter, mod, mul, not_, or_, sub
 
@@ -639,9 +639,10 @@ def _normalize_tile(V):
 
 
 def _tile_symmetries(W):
-    """(swaps, negations) of the normalized tile W: the pairs i < j whose
-    coordinate swap, and the coordinates d >= 1 whose negation, map W
-    onto a translate of W.
+    """(prev, negated) of the normalized tile W: prev[j] is the previous
+    member of j's class of coordinates whose swaps map W onto a translate
+    of W (n for a class's first member), and negated[d] says whether
+    negating coordinate d >= 1 does (negated[0] is the orbit cut's).
 
     A map of the coordinates sends W onto W + t only when t moves each
     image column's range onto the column's own range, and then exactly
@@ -651,10 +652,10 @@ def _tile_symmetries(W):
     Such swaps compose: if (i j) and (j k) map W onto translates, so
     does (i k) = (i j)(j k)(i j).  The interchangeable coordinates are
     therefore classes, found by testing each j against the first member
-    of each class, and the swaps are all pairs within a class: n - 1
-    tests on the cross of Z^n, not n(n - 1)/2.
+    of each class: n - 1 tests on the cross of Z^n, not n(n - 1)/2.
     """
     cols = list(zip(*W))
+    n = len(cols)
     lo = list(map(min, cols))
     hi = list(map(max, cols))
     members = set(W)
@@ -662,29 +663,28 @@ def _tile_symmetries(W):
     def onto(image):
         return all(map(members.__contains__, zip(*image)))
 
-    classes = []
-    for j in range(len(cols)):
-        for cls in classes:
-            i = cls[0]
+    prev = [n] * n
+    tail = {}  # the first member of each class -> its latest member
+    for j in range(n):
+        for i in tail:
             if hi[i] - lo[i] == hi[j] - lo[j]:
                 image = cols[:]
                 image[i] = [x + lo[i] - lo[j] for x in cols[j]]
                 image[j] = [x + lo[j] - lo[i] for x in cols[i]]
                 if onto(image):
-                    cls.append(j)
+                    prev[j], tail[i] = tail[i], j
                     break
         else:
-            classes.append([j])
-    negations = []
-    for d in range(1, len(cols)):  # coordinate 0's negation is the orbit cut's
+            tail[j] = j
+    negated = [False] * n
+    for d in range(1, n):
         image = cols[:]
         image[d] = [lo[d] + hi[d] - x for x in cols[d]]
-        if onto(image):
-            negations.append(d)
-    return sorted(pair for cls in classes for pair in combinations(cls, 2)), negations
+        negated[d] = onto(image)
+    return prev, negated
 
 
-def _search_group(G, start, coeffs, budget, counts, failures, swaps, negations):
+def _search_group(G, start, coeffs, budget, counts, failures, prev, negated):
     """Depth-first image assignment in G; see search_lattice_tiling.
 
     The first image runs over one element per Aut(G)-orbit, the
@@ -703,19 +703,21 @@ def _search_group(G, start, coeffs, budget, counts, failures, swaps, negations):
     onto a translate of itself, then phi* composed with it is bijective
     on the tile too, with images i and j exchanged or image d negated.
     Its image tuple is no less than phi*'s, so phi* has images[i] <=
-    images[j] and index(g_d) <= index(-g_d): depth j starts at the
-    largest images[i] over the swaps (i, j), and a depth d with a
-    negation skips every g with index(-g) < g.  phi* meets all of these
-    constraints and the orbit cut's at once, so no cut skips it and the
-    search still returns it: status and groups_tried are the unpruned
-    search's.  The skipped elements are not nodes.  A negation of
-    coordinate 0 is already cut by the orbits, since -1 is an
-    automorphism.
+    images[j] and index(g_d) <= index(-g_d): depth j starts at
+    images[prev[j]] (images[n] = 0), the largest image of j's earlier
+    class members since the cut keeps images nondecreasing along a
+    class, and a depth d with negated[d] skips every g with
+    index(-g) < g.  phi* meets all of these constraints and the orbit
+    cut's at once, so no cut skips it and the search still returns it:
+    status and groups_tried are the unpruned search's.  The skipped
+    elements are not nodes.  A negation of coordinate 0 is already cut
+    by the orbits, since -1 is an automorphism.
 
     A word's residue is final once the images up to its last nonzero
     coordinate are assigned: depth d checks the words whose last nonzero
     coordinate is d against the residues already fixed, and carries the
-    partial residues of the later words down one level.
+    partial residues of the later words down one level, on an explicit
+    stack of one frame per depth, so no dimension hits the recursion limit.
 
     Elements are their indices lex_rank - 1, so the identity is 0, a
     residue is an int and the residues fixed so far are one bitmask.
@@ -735,7 +737,7 @@ def _search_group(G, start, coeffs, budget, counts, failures, swaps, negations):
     L = lcm(*factors)
     neg = (L - 1) * NN  # the memo key of -g = 0 + (L - 1) * g, less g * |G|
     n = len(coeffs)
-    images = [None] * n
+    images = [None] * n + [0]
     elems = list(G.elements())
     first = [lex_rank(g, G) - 1 for g in aut_orbit_representatives(G)]
     # the index of e is the sum of e_j * P_j, P_j = t_{j+1} * ... * t_s
@@ -753,23 +755,15 @@ def _search_group(G, start, coeffs, budget, counts, failures, swaps, negations):
         memo[(x * N + g) * N + r] = s
         return s
 
-    below = [[i for i, j in swaps if j == d] for d in range(n)]
-    negated = [d in negations for d in range(n)]
-
     # (x mod L) * |G|^2 per coefficient x; a residue r adds r and an
     # image g adds g * |G|, giving the memo key of r + x * g
     cols = [[x % L * NN for x in coeff] for coeff in coeffs]
-
-    def dfs(depth, seen, acc):
-        k = start[depth + 1] - start[depth]
-        keys = list(map(add, acc, cols[depth]))
-        fixed, later = keys[:k], keys[k:]
-        if depth == 0:
-            cands = first
-        else:
-            cands = range(max(map(images.__getitem__, below[depth]), default=0), N)
-            if negated[depth]:
-                cands = (g for g in cands if g <= (get(neg + g * N) or step(0, L - 1, g)))
+    # a frame per depth: candidates, residues fixed above, keys fixed here, later keys
+    k = start[1] - start[0]
+    stack = [(iter(first), 1, cols[0][:k], cols[0][k:])]
+    while stack:
+        cands, seen, fixed, later = stack[-1]
+        depth = len(stack) - 1
         for g in cands:
             counts[0] += 1
             if counts[0] > budget:
@@ -790,21 +784,26 @@ def _search_group(G, start, coeffs, budget, counts, failures, swaps, negations):
             if depth + 1 == n:
                 counts[1] += 1
                 if ok:
-                    return Homomorphism(G, tuple(map(elems.__getitem__, images)))
+                    return Homomorphism(G, tuple(map(elems.__getitem__, images[:n])))
                 if len(failures) < MAX_FAILURES:
-                    failures.append((factors, tuple(map(elems.__getitem__, images))))
+                    failures.append((factors, tuple(map(elems.__getitem__, images[:n]))))
             elif ok:
                 # a key below |G|^2 has x mod L = 0 and is the residue itself
                 nxt = [key if key < NN else get(key + gN, -1) for key in later]
                 if -1 in nxt:
                     nxt = [step(key % N, key // NN, g) if s < 0 else s
                            for s, key in zip(nxt, later)]
-                res = dfs(depth + 1, mask, nxt)
-                if res is not None:
-                    return res
-        return None
-
-    return dfs(0, 1, [0] * len(coeffs[0]))
+                d = depth + 1
+                keys = list(map(add, nxt, cols[d]))
+                k = start[d + 1] - start[d]
+                gs = range(images[prev[d]], N)
+                if negated[d]:
+                    gs = (h for h in gs if h <= (get(neg + h * N) or step(0, L - 1, h)))
+                stack.append((iter(gs), mask, keys[:k], keys[k:]))
+                break
+        else:
+            stack.pop()
+    return None
 
 
 def search_lattice_tiling(V, budget=DEFAULT_BUDGET):
@@ -817,14 +816,14 @@ def search_lattice_tiling(V, budget=DEFAULT_BUDGET):
     returns the same solution, groups_tried and status as trying every
     element; only nodes, assignments_tried and failures shrink.  The
     tile's own coordinate swaps and negations, found once per call by
-    comparing the tile with their images as sets, cut the same way and keep the same
-    results: image j is never below image i when swapping coordinates
-    i < j maps the tile onto a translate of itself, and image d never
-    above its negative, by index, when negating coordinate d does (see
-    _search_group).  They shrink the nodes of the double spheres and
-    Lee spheres most, so a NotFound or BudgetExceeded result reports
-    fewer nodes and assignments than a search without them.  NotFound
-    is reported only on true exhaustion.
+    comparing the tile with their images as sets, cut the same way and
+    keep the same results: image j is never below that of j's
+    predecessor among the coordinates it swaps with, and image d never
+    above its negative, by index, when negating coordinate d maps the
+    tile onto a translate of itself (see _search_group).  They shrink
+    the nodes of the double spheres and Lee spheres most, so a NotFound
+    or BudgetExceeded result reports fewer nodes and assignments than a
+    search without them.  NotFound is reported only on true exhaustion.
     """
     V = list(V)
     n = word_length(V)

@@ -95,6 +95,18 @@ def test_search_not_found(tmp_path, capsys):
     assert payload["groups_tried"] == 1
 
 
+def test_search_on_a_tile_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # {0, e_1} of Z^1100: one search depth per coordinate
+    n = 1100
+    path = tmp_path / "edge.txt"
+    path.write_text(format_words([(0,) * n, (1,) + (0,) * (n - 1)]) + "\n")
+    assert run(["search", "--anticode", str(path), "--json"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"status": "found", "group": [2],
+                               "images": [[1]] + [[0]] * (n - 1)}
+    assert "Traceback" not in err
+
+
 def test_search_budget(tmp_path, capsys):
     path = tmp_path / "v.txt"
     from leecodes import double_sphere

@@ -1016,7 +1016,7 @@ def test_search_first_image_may_be_zero():
     assert is_bijection_on(res.hom, V)
 
 
-def _unpruned_search_group(G, start, coeffs, budget, counts, failures, swaps, negations):
+def _unpruned_search_group(G, start, coeffs, budget, counts, failures, prev, negated):
     """tiling._search_group with every element tried at every depth: no
     orbit cut and no cut by the tile's symmetries."""
     factors = G.factors
@@ -1093,6 +1093,23 @@ def symmetrized_tiles(draw):
     return sorted(tuple(map(add, w, shift)) for w in V), swaps, negations
 
 
+def _expanded(symmetries):
+    """tiling._tile_symmetries' (prev, negated) as (swaps, negations): every
+    pair i < j within a class, read off j's chain of predecessors, and the
+    negated coordinates."""
+    prev, negated = symmetries
+    n = len(prev)
+    assert len(negated) == n and not negated[0]
+    swaps = []
+    for j in range(n):
+        i = prev[j]
+        while i != n:
+            assert i < j
+            swaps.append((i, j))
+            i = prev[i]
+    return sorted(swaps), [d for d in range(n) if negated[d]]
+
+
 def _symmetries_by_normalizing(W):
     """Reference for tiling._tile_symmetries: normalize each image of W."""
     n = len(W[0])
@@ -1110,7 +1127,7 @@ def _symmetries_by_normalizing(W):
 def test_symmetry_cut_matches_unpruned_search(case):
     V, swaps, negations = case
     W = tiling._normalize_tile(V)
-    found_swaps, found_negations = tiling._tile_symmetries(W)
+    found_swaps, found_negations = _expanded(tiling._tile_symmetries(W))
     assert (found_swaps, found_negations) == _symmetries_by_normalizing(W)
     assert set(swaps) <= set(found_swaps)
     assert set(negations) - {0} <= set(found_negations)
@@ -1126,30 +1143,35 @@ def test_symmetry_cut_matches_unpruned_search(case):
 def test_tile_symmetries_of_the_double_sphere(n):
     # the double sphere is long on axis 0: it swaps and negates only the others
     W = tiling._normalize_tile(double_sphere(n, 1))
-    assert tiling._tile_symmetries(W) == (list(combinations(range(1, n), 2)),
-                                          list(range(1, n)))
+    assert _expanded(tiling._tile_symmetries(W)) == (list(combinations(range(1, n), 2)),
+                                                     list(range(1, n)))
 
 
 def test_tile_symmetries_of_asymmetric_tiles():
-    assert tiling._tile_symmetries([(0, 0), (0, 1), (1, -1), (1, 0), (2, 0)]) == ([], [])
+    assert _expanded(tiling._tile_symmetries([(0, 0), (0, 1), (1, -1), (1, 0), (2, 0)])) == (
+        [], [])
     # equal spreads, and still no swap: {(0, 0), (0, 1), (1, 1)} swaps to a
     # set with (1, 0)
-    assert tiling._tile_symmetries([(0, 0), (0, 1), (1, 1)]) == ([], [])
+    assert _expanded(tiling._tile_symmetries([(0, 0), (0, 1), (1, 1)])) == ([], [])
     # {0, 1} x {0, 1, 2}: no swap; axis 1 negates onto a translate (axis 0
     # does too, but that negation is the orbit cut's)
     W = [(x, y) for x in range(2) for y in range(3)]
-    assert tiling._tile_symmetries(W) == ([], [1])
+    assert _expanded(tiling._tile_symmetries(W)) == ([], [1])
 
 
 def test_tile_symmetries_within_classes():
     # {0, 1}^2 x {0, 1, 2}^2: two classes of interchangeable coordinates
     W = sorted(product(range(2), range(2), range(3), range(3)))
-    assert tiling._tile_symmetries(W) == ([(0, 1), (2, 3)], [1, 2, 3])
+    assert _expanded(tiling._tile_symmetries(W)) == ([(0, 1), (2, 3)], [1, 2, 3])
+    # each coordinate keeps only its predecessor in its class; 4 = n marks
+    # a class's first member
+    assert tiling._tile_symmetries(W) == ([4, 0, 4, 2], [False, True, True, True])
     # the cross of Z^n: one class, every pair
     n = 6
     W = tiling._normalize_tile(lee_sphere(n, 1))
-    assert tiling._tile_symmetries(W) == (list(combinations(range(n), 2)),
-                                          list(range(1, n)))
+    assert _expanded(tiling._tile_symmetries(W)) == (list(combinations(range(n), 2)),
+                                                     list(range(1, n)))
+    assert tiling._tile_symmetries(W) == ([n] + list(range(n - 1)), [False] + [True] * (n - 1))
 
 
 def _swapped(w, i, j):
@@ -1184,7 +1206,12 @@ def symmetric_tiles(draw):
 @settings(max_examples=300, deadline=None)
 @given(symmetric_tiles())
 def test_tile_symmetries_match_the_pairwise_reference(W):
-    assert tiling._tile_symmetries(W) == _pairwise_symmetries(W)
+    assert _expanded(tiling._tile_symmetries(W)) == _pairwise_symmetries(W)
+
+
+def _edge(n):
+    """The two-word tile {0, e_1} of Z^n."""
+    return [(0,) * n, (1,) + (0,) * (n - 1)]
 
 
 def test_search_set_up_is_bounded_on_a_large_cross():
@@ -1194,12 +1221,31 @@ def test_search_set_up_is_bounded_on_a_large_cross():
     res = search_lattice_tiling(lee_sphere(240, 1), budget=1)
     assert res.status == BUDGET_EXCEEDED
     assert time.perf_counter() - start < 15
+    # one predecessor per coordinate, not a list of the pairs in its class:
+    # expanding the 403 651 pairs of {0, e_1}'s one class of 899 coordinates
+    # into per-depth lists took over 6 s on a 2-vCPU VM
+    start = time.perf_counter()
+    res = search_lattice_tiling(_edge(900), budget=1)
+    assert res.status == BUDGET_EXCEEDED
+    assert time.perf_counter() - start < 3
 
 
-def _tuple_search_group(G, start, coeffs, budget, counts, failures, swaps, negations):
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # one DFS frame per coordinate on an explicit stack; Z_2 with e_1 -> 1
+    # and every other image 0 takes two nodes at depth 0 and one at each
+    # later depth
+    n = 1100
+    res = search_lattice_tiling(_edge(n))
+    assert (res.status, res.nodes, res.assignments_tried) == (FOUND, n + 1, 1)
+    assert res.hom.group.factors == (2,)
+    assert res.hom.images == ((1,),) + ((0,),) * (n - 1)
+
+
+def _tuple_search_group(G, start, coeffs, budget, counts, failures, prev, negated):
     """tiling._search_group on element tuples, residues as tuples and the
     fixed residues as a set: the search before element indices, with
-    each symmetry cut as a test of the tuples."""
+    each symmetry cut as a test of the tuples against every pair."""
+    swaps, negations = _expanded((prev, negated))
     factors = G.factors
     n = len(coeffs)
     images = [None] * n
