@@ -5,7 +5,9 @@ inadmissible, verification failed), 2 budget exceeded, 64 usage error
 (an argument value out of range, such as a --budget below 1, a decode
 word of the wrong length, a --mod the code's period does not divide or
 a verify --window too small to hold two codewords), 65 data-format
-error; run alone maps errors to them.
+error, 70 internal error (any other exception, such as MemoryError,
+reported in one line with no traceback), 130 interrupted (Ctrl-C);
+run alone maps errors to them.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ EXIT_NEGATIVE = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_SOFTWARE = 70  # EX_SOFTWARE of BSD sysexits.h
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 # largest --order factored: trial division of a prime just below it
 # takes about 0.1 s in CPython 3.11, of one near 10^18 minutes
@@ -36,7 +40,7 @@ MAX_GROUP_ORDER = 10 ** 12
 # cost proportional to their number, about box / |G|, but verify's
 # cover marks up to box points, tile prints box / |G| of them and
 # nonregular keeps about (2R + 4)(2R + 3)^2 / 12 centers: at the bound
-# verify DPL(6,12) takes 0.3 s, tile 1.3 s, nonregular 2.0 s (764452
+# verify DPL(6,12) takes 0.3 s, tile 1.3 s, nonregular 0.8 s (764452
 # centers at R = 103) and pl1 --n 3162 5.7 s and 250 MB in CPython 3.11
 # on a 2-vCPU VM
 MAX_WINDOW_POINTS = 10 ** 7
@@ -325,6 +329,14 @@ def run(argv):
         # a file that cannot be read as text, or an --out that cannot be written
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    except Exception as exc:
+        # a fault of the program or the machine, such as MemoryError: one
+        # line, with a code that no result shares; the repr keeps it one line
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 def main():

@@ -56,6 +56,19 @@ def element_order(g, G):
     return lcm(*(t // gcd(t, x) for t, x in zip(G.factors, g)))
 
 
+def has_generator(elements, G):
+    """True iff one of the elements, each known to lie in G, has order |G|.
+
+    g has order lcm_j t_j / gcd(g_j, t_j) over the factors t_j, which is
+    |G| = prod_j t_j exactly when lcm_j t_j = |G| (the factors are
+    pairwise coprime) and every g_j is prime to t_j; each gcd is at
+    least 1, so their product is 1 iff all are.  No contains check: the
+    elements must already be valid, as a Homomorphism's images are.
+    """
+    t = G.factors
+    return lcm(*t) == G.order and any(prod(map(gcd, g, t)) == 1 for g in elements)
+
+
 def factorize(m):
     """Prime factorization {p: e} of m >= 1 by trial division, primes ascending."""
     if m < 1:

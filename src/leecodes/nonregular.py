@@ -10,19 +10,24 @@ bijection on W.  The n=3 family shifts diagonal connectivity
 components of the tiling per a finite bit string, yielding
 pairwise-distinct integer-centered window tilings and, through the
 even-weight transversal, non-lattice diameter-4 codes on the window;
-its half-lattice map and tile are built once per process, on first use.
+its half-lattice map and tile are built once per process, on first use,
+and its centers repeat with period 4 along x_1, so one period of the
+kernel walk gives every row of the window.
 """
 
 from __future__ import annotations
 
 import json
 from functools import cache
+from itertools import repeat
+from math import lcm
 
 from .errors import DimensionError, DomainError, StructuralError, WindowError, _Frozen
-from .groups import FiniteAbelianGroup, element_order
+from .groups import FiniteAbelianGroup, has_generator
 from .lee import double_sphere, double_sphere_size, even_weight_members, word_length
 from .tiling import (Homomorphism, KernelBasis, _double_cross_images, _kernel_points,
-                     exact_cover, lattice_basis, lex_sort, touch_box)
+                     exact_cover, lattice_basis, touch_box)
+from .tiling import lex_sort  # noqa: F401  (still importable as nonregular.lex_sort)
 
 K1 = "K1"
 K2 = "K2"
@@ -80,7 +85,8 @@ def verify_nonregular(hom, n):
     2, so no field carries (tiling._double_cross_images).  The half
     image is checked first, then n >= 1; |G| is compared with 8n in
     closed form, and n with the domain, before anything of size n is
-    built.
+    built.  The generator test, groups.has_generator, takes gcds of the
+    images' coordinates and computes no element order.
     """
     if hom.half_image is None:
         raise StructuralError("homomorphism has no half image")
@@ -93,8 +99,7 @@ def verify_nonregular(hom, n):
     image = set(image)
     if len(image) != G.order // 2 or not image.isdisjoint(shifted):
         return False
-    order = G.order
-    return any(element_order(g, G) == order for g in hom.images[1:])
+    return has_generator(hom.images[1:], G)
 
 
 @cache
@@ -161,6 +166,16 @@ def shifted_tiling_n3(bits, R):
     c_1 in [-R-2, R+1] and c_2, c_3 in [-R-1, R+1] (tiling.touch_box).
     Not every one of them meets [-R,R]^3, but no other center can, so
     the cover check filters nothing.
+
+    Only one period along x_1 is walked.  The map's lower Hermite basis
+    has first row (b, 0, 0), b = 8, so a step of lcm(b, 2) = 2p along d1
+    maps kernel points to kernel points, and the shift reads x_2 + x_3
+    only: c_1 -> c_1 + p, p = 4, maps centers to centers at every x_2
+    and x_3.  The kernel points whose shifted c_1 lies in [lo_1, lo_1 +
+    p - 1] give p rows of (x_2, x_3), each sorted once, and the centers
+    at c_1 are the row of (c_1 - lo_1) mod p.  Each of them is a walked
+    point moved by a multiple of 2p along d1, an even step, so the
+    integrality check on the walked points holds for every center.
     """
     if any(b not in "01" for b in bits):
         raise DomainError(f"bits must be a 0/1 string, got {bits!r}")
@@ -177,21 +192,27 @@ def shifted_tiling_n3(bits, R):
         kind, m = component_index_n3((0, s, 0))
         up = kind == K2 and 1 <= m <= len(bits) and bits[m - 1] == "1"
         shift[s] = 0 if kind == K1 else 1 if up else -1
-    # a shift of at most 1/2 along axis 1 brings d1 / 2 into [lo1, hi1]
-    # only from d1 in [2 * lo1 - 1, 2 * hi1 + 1]
-    box = _kernel_points(half, [2 * lo1 - 1, lo2, lo3], [2 * hi1 + 1, hi2, hi3])
-    centers = []
-    for d1, x2, x3 in box:
+    p = lcm(half.hnf[0][0], 2) // 2
+    # a shift of at most 1/2 along axis 1 brings d1 / 2 into [lo1, lo1 + p - 1]
+    # only from d1 in [2 * lo1 - 1, 2 * (lo1 + p - 1) + 1]
+    walk = _kernel_points(half, [2 * lo1 - 1, lo2, lo3], [2 * (lo1 + p) - 1, hi2, hi3])
+    rows = [[] for _ in range(p)]
+    for d1, x2, x3 in walk:
         shifted = d1 + shift[x2 + x3]
         if shifted % 2 != 0:
             raise StructuralError(
                 f"shifted center ({shifted}/2,{x2},{x3}) is not integral"
             )
-        c1 = shifted // 2
-        if lo1 <= c1 <= hi1:
-            centers.append((c1, x2, x3))
-    # distinct: kernel points are, and the shift depends on x_2 + x_3 only
-    lex_sort(centers)
+        k = shifted // 2 - lo1
+        if 0 <= k < p:
+            rows[k].append((x2, x3))
+    # each row as its (x_2, x_3) columns, in lexicographic order; distinct,
+    # since kernel points are and the shift depends on x_2 + x_3 only
+    cols = [tuple(zip(*sorted(row))) for row in rows]
+    centers = []
+    for c1 in range(lo1, hi1 + 1):
+        xs2, xs3 = cols[(c1 - lo1) % p]
+        centers.extend(zip(repeat(c1), xs2, xs3))
     return ShiftedWindowTiling(R=R, bits=bits, centers=tuple(centers))
 
 

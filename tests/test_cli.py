@@ -17,8 +17,10 @@ from leecodes import (cli, code_from_json, code_to_json, codes, construct_dpl4,
 from leecodes.cli import (
     EXIT_BUDGET,
     EXIT_DATA,
+    EXIT_INTERRUPTED,
     EXIT_NEGATIVE,
     EXIT_OK,
+    EXIT_SOFTWARE,
     EXIT_USAGE,
     MAX_GROUP_ORDER,
     run,
@@ -309,6 +311,47 @@ def test_python_m_cli_runs_main(tmp_path):
     assert json.loads(proc.stdout) == json.loads(code_to_json(construct_dpl4(3, 12)))
 
 
+@pytest.mark.parametrize("exc", [MemoryError(), RuntimeError("injected fault")])
+def test_unexpected_error_exits_70_in_one_line(monkeypatch, capsys, exc):
+    # exit 1 is a verified negative, so a fault must not read as one
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli.nonregular, "shifted_tiling_n3", fail)
+    assert run(["nonregular", "--bits", "01", "--window", "18"]) == EXIT_SOFTWARE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == f"internal error: {exc!r}\n"
+
+
+def test_interrupt_exits_130_without_traceback(monkeypatch, capsys):
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.groups, "enumerate_abelian_groups", interrupt)
+    assert run(["groups", "--order", "8"]) == EXIT_INTERRUPTED
+    assert capsys.readouterr().err == "interrupted\n"
+
+
+@pytest.mark.parametrize("exc", ["MemoryError()", "RuntimeError('injected fault')"])
+def test_python_m_cli_exits_70_in_one_line(tmp_path, exc):
+    # a sitecustomize module, imported at start-up, makes the library call
+    # raise before python -m leecodes.cli runs
+    (tmp_path / "sitecustomize.py").write_text(
+        "import leecodes.groups\n\n\n"
+        "def fail(*args):\n"
+        f"    raise {exc}\n\n\n"
+        "leecodes.groups.enumerate_abelian_groups = fail\n")
+    env = _env()
+    env["PYTHONPATH"] = str(tmp_path) + os.pathsep + env["PYTHONPATH"]
+    proc = subprocess.run([sys.executable, "-m", "leecodes.cli", "groups", "--order", "8"],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == EXIT_SOFTWARE, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"internal error: {exc}\n"
+    assert proc.stdout == ""
+
+
 def test_import_loads_no_sympy(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -433,8 +476,8 @@ def test_basis_bound(monkeypatch, capsys):
         assert run(argv) == EXIT_USAGE, argv
         assert "3163^2" in capsys.readouterr().err
     for argv in (["pl1", "--n", "3162"], ["construct", "--n", "3162", "--q", "4"]):
-        with pytest.raises(Reached):
-            run(argv)
+        assert run(argv) == EXIT_SOFTWARE, argv
+        assert "Reached()" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", [

@@ -11,7 +11,8 @@ from leecodes import (
     lex_rank,
 )
 from leecodes.errors import DomainError, StructuralError
-from leecodes.groups import aut_orbit_key, aut_orbit_representatives, factorize
+from leecodes.groups import (aut_orbit_key, aut_orbit_representatives, factorize,
+                             has_generator)
 
 
 def brute_order(g, G):
@@ -36,6 +37,30 @@ def test_element_order_examples():
     assert element_order((2,), FiniteAbelianGroup((8,))) == 4
     assert element_order((0, 0), FiniteAbelianGroup((2, 3))) == 1
     assert element_order((1, 1), FiniteAbelianGroup((2, 4))) == 4
+
+
+def factor_tuples(limit):
+    """Every tuple of factors >= 2 with product at most limit, in every
+    order, the empty one (the trivial group) included."""
+    out, todo = [], [()]
+    while todo:
+        factors = todo.pop()
+        out.append(factors)
+        todo += [factors + (t,) for t in range(2, limit // prod(factors) + 1)]
+    return out
+
+
+def test_has_generator_matches_element_order():
+    # every group of order <= 64, in every presentation as a product of
+    # cyclic factors, cyclic or not
+    for factors in factor_tuples(64):
+        G = FiniteAbelianGroup(factors)
+        elements = list(G.elements())
+        for g in elements:
+            assert has_generator([g], G) == (element_order(g, G) == G.order), (factors, g)
+        assert has_generator(elements, G) == any(element_order(g, G) == G.order
+                                                 for g in elements)
+        assert has_generator([], G) is False
 
 
 def test_element_order_matches_iteration():

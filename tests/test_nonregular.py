@@ -446,12 +446,36 @@ def test_shifted_tiling_equals_congruence_loop(bits):
     # the loop's output at R is its output at a larger R cut to
     # [-(R + 2), R + 2]^3, which holds the touch box at R, so one
     # reference run cut to the touch box serves every R
+    # the touch box's x_1 width 2R + 4 is 0 or 2 mod the period 4 of the
+    # centers as R is even or odd, so both parities come near low and far
     low = 6 * len(bits) + 6
-    windows = sorted(set(range(low, low + 8)) | {30})
+    windows = sorted(set(range(low, low + 10)) | {30, 37})
     reference = congruence_loop_centers(bits, windows[-1])
     for R in windows:
         want = tuple(c for c in reference if touches(c, R))
         assert shifted_tiling_n3(bits, R).centers == want, (bits, R)
+
+
+def test_shifted_tiling_walks_one_period(monkeypatch):
+    # one x_1-period of the doubled box is 570 kernel points at R = 18,
+    # the whole box 5133; the rows come out sorted, with no sort of the
+    # whole tiling
+    walk = nonregular._kernel_points
+    walked = []
+
+    def counted(hom, lo, hi):
+        out = walk(hom, lo, hi)
+        walked.append(len(out))
+        return out
+
+    def whole_sort(points):
+        raise AssertionError("lex_sort called")
+
+    monkeypatch.setattr(nonregular, "_kernel_points", counted)
+    monkeypatch.setattr(nonregular, "lex_sort", whole_sort)
+    t = shifted_tiling_n3("01", 18)
+    assert len(walked) == 1 and walked[0] <= 600
+    assert len(t.centers) == 5070 and list(t.centers) == sorted(t.centers)
 
 
 @pytest.mark.parametrize("bits", ["00", "01", "10", "11"])
