@@ -194,10 +194,12 @@ def cmd_nonregular(args):
     # largest window accepted
     _check_window(args.window, 4, 3)
     t = nonregular.shifted_tiling_n3(args.bits, args.window)
+    # to_json is the --json payload, written with no list per center
+    text = t.to_json() if args.out or args.json else None
     if args.out:
-        _write_out(args.out, t.to_json())
-    _emit(args, f"shifted tiling bits={args.bits} R={args.window} "
-                f"centers={len(t.centers)}", t.to_dict())
+        _write_out(args.out, text)
+    print(text if args.json else f"shifted tiling bits={args.bits} R={args.window} "
+                                 f"centers={len(t.centers)}")
     return EXIT_OK
 
 

@@ -45,7 +45,6 @@ from .tiling import (
     kernel_basis,
     kernel_points_in_box,
     lattice_basis,
-    lex_sort,
     period,
 )
 
@@ -263,18 +262,17 @@ def restrict_to_zq(code, q):
 def codewords_mod_q(code):
     """All codewords of a modular code, as reduced words, sorted.
 
-    The kernel points are those of [0, q-1]^n.  Under the even-weight
-    transversal their members leave that box only where l_axis = q - 1
-    moved to q.  One pass reduces those to l_axis = 0 and one sort puts
-    the words in order; the members come sorted, so that sort merges the
-    sorted runs the pass leaves.
+    The kernel points are those of [0, q-1]^n, which the walk emits
+    sorted.  Under the even-weight transversal their members leave that
+    box only where l_axis = q - 1 moved to q.  One pass reduces those to
+    l_axis = 0 and one sort puts the words in order; the members come
+    sorted, so that sort merges the sorted runs the pass leaves.
     """
     if code.q is None:
         raise DomainError("code has no modulus; restrict it first")
     q = code.q
     pts = _kernel_points(code.hom, [0] * code.n, [q - 1] * code.n)
     if code.anticode.kind == SPHERE:
-        lex_sort(pts)
         return pts
     a = code.anticode.axis - 1
     out = [w[:a] + (0,) + w[a + 1:] if w[a] == q else w
@@ -289,7 +287,8 @@ def codewords_in_window(code, R):
     Under the identity transversal they are the window's kernel points.
     The even-weight member of kernel point l is l or l + e_axis, so the
     l with l_axis = -R - 1 are enumerated too and the members outside
-    the window dropped.
+    the window dropped.  The walk emits the points sorted, so
+    even_weight_members merges two sorted runs.
     """
     if code.anticode.kind == SPHERE:
         return kernel_points_in_box(code.hom, R)

@@ -151,23 +151,16 @@ def _height_key(g, factors, primes):
     return tuple(key)
 
 
-def aut_orbit_key(g, G):
-    """A key that two elements of G share iff an automorphism maps one to the other.
+def aut_orbit_representatives(G):
+    """The lex-least element of each Aut(G)-orbit, in lexicographic order.
 
     Aut(G) is the product of the automorphism groups of the p-primary
     parts, and in a finite Abelian p-group two elements lie in one orbit
     iff their height (Ulm) sequences agree (Kaplansky, Infinite Abelian
-    Groups).  The height of a nonzero x in a product of cyclic p-power
-    factors is the least v_p(x_j) over its nonzero coordinates.  The
-    factors must be prime powers, as enumerate_abelian_groups yields.
-    """
-    if not G.contains(g):
-        raise StructuralError(f"{g} is not an element of {G.factors}")
-    return _height_key(g, G.factors, _factor_primes(G))
-
-
-def aut_orbit_representatives(G):
-    """The lex-least element of each Aut(G)-orbit, in lexicographic order.
+    Groups), so _height_key keys the orbits.  The height of a nonzero x
+    in a product of cyclic p-power factors is the least v_p(x_j) over
+    its nonzero coordinates.  The factors must be prime powers, as
+    enumerate_abelian_groups yields: StructuralError otherwise.
 
     Multiplying one coordinate by a unit is an automorphism, so every
     coordinate of a lex-least orbit member is 0 or a power of its

@@ -52,12 +52,19 @@ def even_weight_members(words, axis=1):
     equal neighbours finds that, and only then are they dropped.
     """
     odd = list(map(and_, map(sum, words), repeat(1)))
-    members = list(compress(words, map(not_, odd)))
     up = list(compress(words, odd))
+    cols = [map(itemgetter(i), up) for i in range(len(up[0]))] if up else []
+    return _even_weight_members(words, odd, cols, axis)
+
+
+def _even_weight_members(words, odd, up, axis):
+    """even_weight_members of words, given odd, each word's coordinate sum
+    mod 2, and up, the coordinates of the odd words as one iterable per
+    axis: the core both the tuple and the column readers call."""
+    members = list(compress(words, map(not_, odd)))
     if up:
-        cols = [map(itemgetter(i), up) for i in range(len(up[0]))]
-        cols[axis - 1] = map(add, cols[axis - 1], repeat(1))
-        members += zip(*cols)
+        up[axis - 1] = map(add, up[axis - 1], repeat(1))
+        members += zip(*up)
     members.sort()
     if any(map(eq, members, islice(members, 1, None))):
         return list(map(itemgetter(0), groupby(members)))

@@ -12,21 +12,23 @@ pairwise-distinct integer-centered window tilings and, through the
 even-weight transversal, non-lattice diameter-4 codes on the window;
 its half-lattice map and tile are built once per process, on first use,
 and its centers repeat with period 4 along x_1, so one period of the
-kernel walk gives every row of the window.
+kernel walk gives every row of the window.  A tiling's centers are read
+as columns once, and the cover check and the code both read those.
 """
 
 from __future__ import annotations
 
 import json
-from functools import cache
-from itertools import repeat
+from functools import cache, cached_property
+from itertools import compress, repeat
 from math import lcm
+from operator import add, and_, itemgetter
 
 from .errors import DimensionError, DomainError, StructuralError, WindowError, _Frozen
 from .groups import FiniteAbelianGroup, has_generator
-from .lee import double_sphere, double_sphere_size, even_weight_members, word_length
-from .tiling import (Homomorphism, KernelBasis, _double_cross_images, _kernel_points,
-                     exact_cover, lattice_basis, touch_box)
+from .lee import _even_weight_members, double_sphere, double_sphere_size, word_length
+from .tiling import (Homomorphism, KernelBasis, _double_cross_images, _exact_cover,
+                     _kernel_points, lattice_basis, touch_box)
 from .tiling import lex_sort  # noqa: F401  (still importable as nonregular.lex_sort)
 
 K1 = "K1"
@@ -139,6 +141,16 @@ def component_index_n3(center):
 
 
 class ShiftedWindowTiling(_Frozen):
+    """The centers of a shifted tiling that can touch [-R,R]^3.
+
+    columns, the centers read as columns, is derived on first use and
+    kept, for verify_cover and code_from_window_tiling to share; like
+    the bases a Homomorphism keeps, it is outside ==, hash, repr and
+    to_dict.  to_json writes the centers tuple as it is: json writes a
+    tuple as an array, so the text is to_dict's, with no list built per
+    center.
+    """
+
     _fields = ("R", "bits", "centers")
 
     def __init__(self, R: int, bits: str, centers: tuple):
@@ -147,12 +159,21 @@ class ShiftedWindowTiling(_Frozen):
         # integer 3-tuples, sorted lexicographically
         object.__setattr__(self, "centers", centers)
 
+    @cached_property
+    def columns(self):
+        """tuple(zip(*centers)), built one column at a time: zip(*centers)
+        would hold an iterator per center.  DimensionError for centers of
+        mixed length."""
+        return tuple(tuple(map(itemgetter(i), self.centers))
+                     for i in range(word_length(self.centers) or 0))
+
     def to_dict(self):
         return {"R": self.R, "bits": self.bits,
                 "centers": [list(c) for c in self.centers]}
 
     def to_json(self):
-        return json.dumps(self.to_dict(), separators=(",", ":"))
+        return json.dumps({"R": self.R, "bits": self.bits, "centers": self.centers},
+                          separators=(",", ":"))
 
 
 def shifted_tiling_n3(bits, R):
@@ -217,16 +238,28 @@ def shifted_tiling_n3(bits, R):
 
 
 def verify_cover(tiling):
-    """Exact-cover oracle: each window point in exactly one translate."""
-    return exact_cover(tiling.centers, _n3()[1], tiling.R)
+    """Exact-cover oracle: each window point in exactly one translate.
+
+    tiling.exact_cover's core, on the tiling's columns.  DimensionError
+    for centers of mixed length, or of a length other than 3.
+    """
+    cols = tiling.columns
+    if tiling.centers and len(cols) != 3:
+        raise DimensionError("a center's length is not the tile's n = 3")
+    return _exact_cover(cols, len(tiling.centers), _n3()[1], tiling.R)
 
 
 def code_from_window_tiling(tiling):
     """One codeword per tile: the even-Lee-weight member of {c, c + e_1}, sorted.
 
-    lee.even_weight_members of the centers; a sorted input, as
-    shifted_tiling_n3 gives, merges in linear time.  DimensionError
-    for centers of mixed length.
+    lee.even_weight_members' core, on the tiling's columns: the parity
+    is a column sum and the odd centers move by e_1 as columns.  A
+    sorted input, as shifted_tiling_n3 gives, merges in linear time.
+    DimensionError for centers of mixed length.
     """
-    word_length(tiling.centers)
-    return even_weight_members(tiling.centers)
+    cols = tiling.columns
+    total = cols[0] if cols else repeat(0, len(tiling.centers))
+    for col in cols[1:]:
+        total = map(add, total, col)
+    odd = list(map(and_, total, repeat(1)))
+    return _even_weight_members(tiling.centers, odd, [compress(c, odd) for c in cols], 1)

@@ -6,11 +6,12 @@ kernel lattice tiling Z^n by V; this module provides the evaluation
 of phi (the only one in the package, dense, sparse or on the double
 cross of the non-regular check), its inverse on a tile (the bijection
 check), the proof that given rows are a basis of ker(phi), an exact
-kernel-basis extraction, the kernel points of a box by back
-substitution on that basis, the tiling period, a finite-window
-exact-cover oracle on big-integer bitsets (one shift per tile member
-over the whole padded window), and the exhaustive search over groups
-and image assignments.
+kernel-basis extraction, the kernel points of a box in lexicographic
+order by back substitution on the basis of the map with its images
+reversed, the tiling period, a finite-window exact-cover oracle on
+big-integer bitsets (one shift per tile member over the whole padded
+window) that reads the centers as columns, and the exhaustive search
+over groups and image assignments.
 
 phi is evaluated in one pass over the word for any G = Z_t1 x ... x Z_ts.
 The image of e_i is packed into one integer with coordinate j at bit
@@ -57,11 +58,15 @@ from .lee import nonzeros, word_length
 class Homomorphism(_Frozen):
     """Images of e_1..e_n in G; half_image, when set, is the image of (1/2)e_1.
 
-    packed holds, per e_i, its image coordinates packed into one
-    integer with coordinate j at bit offset j * width, and exponent is
-    the exponent L of G; see the module docstring for why width
-    suffices.  hnf, the checked Hermite basis of ker(phi), is computed
-    on first use and kept.  None of them is part of ==, hash or repr.
+    The images are checked one factor column at a time: every entry an
+    int, with 0 <= min and max < t_j; only when a column fails are the
+    images scanned, to name the first one outside G.  packed holds, per
+    e_i, its image coordinates packed into one integer with coordinate
+    j at bit offset j * width, and exponent is the exponent L of G; see
+    the module docstring for why width suffices.  hnf, the checked
+    Hermite basis of ker(phi), and lex_hnf, the one the kernel walk
+    reads, are computed on first use and kept.  None of them is part of
+    ==, hash or repr.
     """
 
     _fields = ("group", "images", "half_image")
@@ -71,9 +76,9 @@ class Homomorphism(_Frozen):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "images", tuple(tuple(g) for g in images))
         object.__setattr__(self, "half_image", half_image)
-        for g in self.images:
-            if not self.group.contains(g):
-                raise StructuralError(f"image {g} not in group {self.group.factors}")
+        if not _in_group(self.images, group.factors):
+            bad = next(g for g in self.images if not group.contains(g))
+            raise StructuralError(f"image {bad} not in group {group.factors}")
         if self.half_image is not None:
             h = tuple(self.half_image)
             object.__setattr__(self, "half_image", h)
@@ -97,10 +102,33 @@ class Homomorphism(_Frozen):
     @cached_property
     def hnf(self):
         """_kernel_hnf of phi, each row checked to lie in ker(phi); derived
-        once per map, for every kernel walk and kernel_basis on it."""
+        once per map, for kernel_basis and for the lex_hnf of the map with
+        its images reversed."""
         B = _kernel_hnf(self)
         _check_in_kernel(self, B)
         return B
+
+    @cached_property
+    def lex_hnf(self):
+        """The hnf of phi with its images reversed: the lower Hermite basis
+        of ker(phi) in the coordinates l_{n-1}, ..., l_0, each row checked
+        to lie in that map's kernel.  Back substitution on it fixes l_0
+        first, so _kernel_points comes out lexicographic."""
+        return Homomorphism(self.group, self.images[::-1]).hnf
+
+
+def _in_group(images, factors):
+    """True iff every image is a tuple of len(factors) ints with 0 <= g_j <
+    t_j: one set of lengths, and per factor one column of types, a min and
+    a max, all in C."""
+    if not {*map(len, images)} <= {len(factors)}:
+        return False
+    for j, t in enumerate(factors):
+        col = list(map(itemgetter(j), images))
+        if not {*map(type, col)} <= {int} or min(col, default=0) < 0 \
+                or max(col, default=0) >= t:
+            return False
+    return True
 
 
 class KernelBasis(_Frozen):
@@ -329,28 +357,48 @@ def abs_det(rows):
 
 
 def _kernel_hnf(hom):
-    """Lower-triangular Hermite basis of ker(phi).
+    """Lower-triangular Hermite basis of ker(phi), one image at a time.
 
-    The relation rows [phi(e_i) | e_i], with e_i in column n - 1 - i, and
-    one t_j-multiple row per group component are reduced in one Hermite
-    pass.  The rows whose group part vanished are the echelon basis of
-    the kernel, reduced above each pivot, which has rank n whether or
-    not phi is onto G; reversing them and their columns gives the lower
-    form.  In this column order the elimination fills in only the
-    columns of the group pivots.
+    Row i is d_i e_i + sum a_c e_c over c < i: d_i is the order of
+    phi(e_i) modulo the span H_i of the earlier images, and 0 <= a_c <
+    d_c, so a_c = 0 unless d_c > 1.  At most log2 |G| columns have d_c >
+    1; cols keeps them, latest first.  W is the Hermite form of the rows
+    [t_j e_j | 0] and [phi(e_c) | e_c], c in cols, over the s group
+    coordinates and one coefficient per column of cols: its first s rows
+    hold the group pivots, and the others are the basis rows of cols,
+    read on cols.  Reducing [phi(e_i) | 0] by W, row by row, either
+    leaves a remainder at a group pivot, and then d_i > 1, phi(e_i) joins
+    W under a new first coefficient column and row s of W's new form is
+    row i; or it leaves [0 | a], and row i is e_i + sum a_c e_c.  So an
+    image costs at most s + len(cols) row operations of that width,
+    whatever the order of the images; only writing out the n dense rows
+    takes time quadratic in n.
     """
-    G = hom.group
+    factors = hom.group.factors
+    s = len(factors)
     n = hom.n
-    s = len(G.factors)
-    rows = []
+    cols = []
+    W = [[t if k == j else 0 for k in range(s)] for j, t in enumerate(factors)]
+    basis = []
     for i, g in enumerate(hom.images):
-        rows.append(list(g) + [1 if j == n - 1 - i else 0 for j in range(n)])
-    for j, t in enumerate(G.factors):
-        rows.append([t if jj == j else 0 for jj in range(s)] + [0] * n)
-    kern = [row[s:] for row in _hnf_rows(rows) if not any(row[:s]) and any(row[s:])]
-    if len(kern) != n:
-        raise ConstructionError(f"kernel rank {len(kern)} != {n}")
-    return tuple(tuple(row[::-1]) for row in reversed(kern))
+        v = list(g) + [0] * len(cols)
+        for k, w in enumerate(W):
+            q, r = divmod(v[k], w[k])
+            if r and k < s:  # phi(e_i) is outside H_i: d_i > 1
+                cols.insert(0, i)
+                W = _hnf_rows([u[:s] + [0] + u[s:] for u in W]
+                              + [list(g) + [1] + [0] * (len(cols) - 1)])
+                entries = zip(cols, W[s][s:])
+                break
+            if q:
+                v = list(map(sub, v, map(mul, repeat(q), w)))
+        else:
+            entries = zip([i] + cols, [1] + v[s:])
+        row = [0] * n
+        for c, x in entries:
+            row[c] = x
+        basis.append(tuple(row))
+    return tuple(basis)
 
 
 def _check_in_kernel(hom, rows):
@@ -388,26 +436,32 @@ def period(hom):
 
 
 def _kernel_points(hom, lo, hi):
-    """All l with lo[i] <= l_i <= hi[i] and phi(l) = identity, by (l_{n-1}, ..., l_0).
+    """All l with lo[i] <= l_i <= hi[i] and phi(l) = identity, lexicographic.
 
-    Back substitution on the lower Hermite basis B = hom.hnf of
-    ker(phi), at a cost of O(n) per point: every point is in the kernel
-    by construction, and the map checked B's rows once, when it first
-    built B, so a walk evaluates phi nowhere.  phi need not be onto G.
-    A stack entry (j, part, suffix), j >= 1, has l_{j+1..} = suffix
-    chosen, and part[k], k <= j, is the sum of z_i * B[i][k] over the
-    rows i > j, so l_j = part[j] + z_j * B[j][j] and the admissible l_j
-    form the progression of step B[j][j] through [lo[j], hi[j]], pushed
-    from the top down so the least pops first.
+    Back substitution on B = hom.lex_hnf, the lower Hermite basis of
+    ker(phi) in the reversed coordinates m_k = l_{n-1-k}, at a cost of
+    O(n) per point: every point is in the kernel by construction, and
+    the map checked B's rows once, when it first built B, so a walk
+    evaluates phi nowhere.  phi need not be onto G.  In m, B fixes
+    m_{n-1} = l_0 first and m_0 = l_{n-1} last, so taking each level's
+    values in ascending order emits the points in lexicographic order
+    of l, and no caller sorts them.  A stack entry (j, part, prefix),
+    j >= 1, has m_{j+1..} chosen, as l_0..l_{n-2-j} = prefix, and
+    part[k], k <= j, is the sum of z_i * B[i][k] over the rows i > j, so
+    m_j = part[j] + z_j * B[j][j] and the admissible m_j form the
+    progression of step B[j][j] through its range, pushed from the top
+    down so the least pops first.
     Level 1 pushes nothing: it walks its progression upwards carrying
-    the one scalar part[0] + z_1 * B[1][0], which fixes l_0 modulo
-    B[0][0], and emits the l_0 of each l_1 at once.  The largest pivot
-    is B[0][0] for the DPL codes, so most l_1 admit no l_0 or one.
+    the one scalar part[0] + z_1 * B[1][0], which fixes m_0 modulo
+    B[0][0], the order of phi(e_n), and emits the m_0 of each m_1 at
+    once.  That order is the largest pivot for the DPL codes, so most
+    m_1 admit no m_0 or one.
     """
     n = hom.n
     if n == 0:
         return [()]
-    B = hom.hnf
+    B = hom.lex_hnf
+    lo, hi = lo[::-1], hi[::-1]
     d0, lo0, hi0 = B[0][0], lo[0], hi[0]
     if n == 1:
         return [(y,) for y in range(lo0 + -lo0 % d0, hi0 + 1, d0)]
@@ -415,34 +469,35 @@ def _kernel_points(hom, lo, hi):
     out = []
     stack = [(n - 1, [0] * n, ())]
     while stack:
-        j, part, suffix = stack.pop()
+        j, part, prefix = stack.pop()
         d = B[j][j]
-        x = lo[j] + (part[j] - lo[j]) % d  # least l_j >= lo[j]
+        x = lo[j] + (part[j] - lo[j]) % d  # least m_j >= lo[j]
         if x > hi[j]:
             continue
         if j == 1:
             r = part[0] - lo0 + (x - part[1]) // d * b10  # part[0] + z_1 * B[1][0] - lo0
             for y in range(x, hi1 + 1, d):
-                y0 = lo0 + r % d0  # least l_0 >= lo0
+                y0 = lo0 + r % d0  # least m_0 >= lo0
                 r += b10
                 if y0 + d0 > hi0:
                     if y0 <= hi0:
-                        out.append((y0, y) + suffix)
+                        out.append(prefix + (y, y0))
                 else:
-                    out.extend([(v, y) + suffix for v in range(y0, hi0 + 1, d0)])
+                    out.extend([prefix + (y, v) for v in range(y0, hi0 + 1, d0)])
             continue
         row = B[j][:j]
-        top = hi[j] - (hi[j] - x) % d  # greatest l_j <= hi[j]
+        top = hi[j] - (hi[j] - x) % d  # greatest m_j <= hi[j]
         z = (top - part[j]) // d
         part = [p + z * b for p, b in zip(part, row)]
         for y in range(top, x - 1, -d):
-            stack.append((j - 1, part, (y,) + suffix))
+            stack.append((j - 1, part, prefix + (y,)))
             part = list(map(sub, part, row))
     return out
 
 
 def lex_sort(points):
-    """Sort equal-length tuples lexicographically in place.
+    """Sort equal-length tuples lexicographically in place.  Nothing in the
+    package calls it now that the kernel walk comes out sorted.
 
     One stable sort per coordinate, from the last to the first (an LSD
     order), gives the lexicographic order for any input order.  Each
@@ -455,9 +510,7 @@ def lex_sort(points):
 
 def kernel_points_in_box(hom, bound):
     """All l with |l_i| <= bound and phi(l) = identity, lexicographic."""
-    out = _kernel_points(hom, [-bound] * hom.n, [bound] * hom.n)
-    lex_sort(out)
-    return out
+    return _kernel_points(hom, [-bound] * hom.n, [bound] * hom.n)
 
 
 def _bitset(indices, size):
@@ -536,6 +589,16 @@ def exact_cover(centers, tile, R):
         raise SizeError("tile must be nonempty")
     if word_length(centers) not in (None, n):
         raise DimensionError(f"a center's length is not the tile's n = {n}")
+    # one column at a time: zip(*centers) would hold an iterator per center
+    cols = [list(map(itemgetter(i), centers)) for i in range(n)]
+    return _exact_cover(cols, len(centers), tile, R)
+
+
+def _exact_cover(cols, count, tile, R):
+    """exact_cover of count centers given as their columns, each a sequence
+    read more than once: the core both the tuple and the column readers
+    call.  The tile is a nonempty sequence of words of one length n, and
+    cols holds n columns, or none when count is 0."""
     if R < 0:
         return False
     lo, hi = touch_box(tile, R)
@@ -547,13 +610,11 @@ def exact_cover(centers, tile, R):
         strides.append(size)
         win = _repeat(win, 2 * R + 1, size) << s * size
         size *= 2 * (R + s) + 1
-    # one column at a time: zip(*centers) would hold an iterator per center
-    cols = [list(map(itemgetter(i), centers)) for i in range(n)]
-    base, count = _bitset(_touching(cols, len(centers), lo, hi, strides), size)
+    base, touching = _bitset(_touching(cols, count, lo, hi, strides), size)
     twice = 0
-    if base.bit_count() != count:
+    if base.bit_count() != touching:
         seen = set()
-        twice, _ = _bitset({i for i in _touching(cols, len(centers), lo, hi, strides)
+        twice, _ = _bitset({i for i in _touching(cols, count, lo, hi, strides)
                             if i in seen or seen.add(i)}, size)
     minus_m = [b - R for b in hi]
     cover = 0

@@ -311,6 +311,31 @@ def test_python_m_cli_runs_main(tmp_path):
     assert json.loads(proc.stdout) == json.loads(code_to_json(construct_dpl4(3, 12)))
 
 
+# SHA-256 of the stdout of nonregular --bits 101 --window 103 --json
+NONREGULAR_103_SHA256 = "46d6cdb580864f38ce2819fc99ba352a37eca6d06320adc708b6eb0668d2de7f"
+
+
+def test_nonregular_json_at_the_largest_window_builds_no_list_per_center(tmp_path):
+    # the payload writes the 764452 centers as the tuple they are: the
+    # same 9457121 bytes of output, in about 90 MB, where a list per
+    # center took the process to 165 MB.  A child of its own runs the
+    # CLI, so RUSAGE_CHILDREN reads that process alone; ru_maxrss is in
+    # kilobytes on Linux
+    script = ("import hashlib, resource, subprocess, sys\n"
+              "out = subprocess.run(sys.argv[1:], capture_output=True, check=True).stdout\n"
+              "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, len(out),"
+              " hashlib.sha256(out).hexdigest())\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, sys.executable, "-m", "leecodes.cli", "nonregular",
+         "--bits", "101", "--window", "103", "--json"],
+        capture_output=True, text=True, env=_env(), cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    maxrss_kb, size, digest = proc.stdout.split()
+    assert (int(size), digest) == (9457121, NONREGULAR_103_SHA256)
+    assert int(maxrss_kb) < 120 * 1024
+
+
 @pytest.mark.parametrize("exc", [MemoryError(), RuntimeError("injected fault")])
 def test_unexpected_error_exits_70_in_one_line(monkeypatch, capsys, exc):
     # exit 1 is a verified negative, so a fault must not read as one

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 from math import gcd, lcm, prod
@@ -573,6 +574,56 @@ def center_tuples(draw):
 def test_code_from_window_tiling_matches_the_set_rule_on_any_centers(centers):
     t = ShiftedWindowTiling(R=6, bits="", centers=centers)
     assert code_from_window_tiling(t) == sorted({even_weight_member(c) for c in centers})
+
+
+# centers by hand, R, and what verify_cover and code_from_window_tiling
+# give on them: a result, or the (type, message) they raise
+MIXED = (DimensionError, "words of mixed length")
+NOT_3 = (DimensionError, "a center's length is not the tile's n = 3")
+HAND_BUILT = [
+    ((), 6, False, []),
+    ((), -1, False, []),
+    (((0, 0), (1, 0), (1, 1)), 6, NOT_3, [(0, 0), (1, 1), (2, 0)]),
+    (((0, 0), (1, 0)), -1, NOT_3, [(0, 0), (2, 0)]),
+    (((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 1), (1, 0, 0, 0)), 6, NOT_3,
+     [(0, 0, 0, 0), (0, 1, 0, 1), (2, 0, 0, 0)]),
+    (((1,), (2,)), 6, NOT_3, [(2,)]),
+    (((), ()), 6, NOT_3, [()]),
+    (((0, 0, 0), (1, 0)), 6, MIXED, MIXED),
+    (((0, 0, 0), (1, 0, 0, 0)), -1, MIXED, MIXED),
+]
+
+
+@pytest.mark.parametrize("centers, R, cover, code", HAND_BUILT)
+def test_column_readers_keep_results_and_errors_on_hand_built_tilings(centers, R, cover,
+                                                                      code):
+    t = ShiftedWindowTiling(R=R, bits="", centers=centers)
+    for reader, want in ((verify_cover, cover), (code_from_window_tiling, code)):
+        if isinstance(want, tuple):
+            with pytest.raises(want[0]) as exc:
+                reader(t)
+            assert str(exc.value) == want[1]
+        else:
+            assert reader(t) == want
+
+
+def test_columns_are_the_centers_read_once_and_outside_equality():
+    t = shifted_tiling_n3("01", 18)
+    fresh = shifted_tiling_n3("01", 18)
+    assert "columns" not in vars(t)
+    cols = t.columns
+    assert cols == tuple(zip(*t.centers)) and t.columns is cols
+    assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+    assert t.to_dict() == fresh.to_dict() and t.to_json() == fresh.to_json()
+    for centers, *_ in HAND_BUILT[:7]:
+        assert ShiftedWindowTiling(R=6, bits="", centers=centers).columns == \
+            tuple(zip(*centers))
+
+
+def test_to_json_is_the_to_dict_text():
+    t = shifted_tiling_n3("101", 24)
+    assert t.to_json() == json.dumps(t.to_dict(), separators=(",", ":"))
+    assert type(t.to_dict()["centers"][0]) is list
 
 
 def test_shifted_tiling_json_roundtrip():

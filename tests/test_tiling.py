@@ -5,7 +5,7 @@ from operator import add
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leecodes import (
@@ -19,8 +19,8 @@ from leecodes import (
     search_lattice_tiling,
     verify_window_tiling,
 )
-from leecodes import (construct_dpl4, construct_pl1, codewords_mod_q, min_distance_window,
-                      restrict_to_zq, tiling)
+from leecodes import (codes, codewords_in_window, construct_dpl4, construct_pl1,
+                      codewords_mod_q, min_distance_window, restrict_to_zq, tiling)
 from leecodes.errors import (
     ConstructionError,
     DimensionError,
@@ -133,6 +133,34 @@ def test_apply_hom_dimension_check():
 def test_image_validation():
     with pytest.raises(StructuralError):
         Homomorphism(Z5, ((1,), (7,)))
+
+
+@st.composite
+def groups_and_images(draw):
+    """A group of 0..3 factors and up to 6 images, most of them in it; the
+    others have a coordinate out of range, negative, a bool or a float,
+    or one coordinate too few or too many."""
+    factors = tuple(draw(st.lists(st.integers(2, 9), max_size=3)))
+    good = st.tuples(*(st.integers(0, t - 1) for t in factors))
+    coord = st.one_of(st.integers(-3, 12), st.just(True), st.just(1.0))
+    bad = st.lists(coord, min_size=max(len(factors) - 1, 0),
+                   max_size=len(factors) + 1).map(tuple)
+    return FiniteAbelianGroup(factors), draw(st.lists(st.one_of(good, good, bad), max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(groups_and_images())
+def test_image_validation_names_the_first_image_outside_the_group(case):
+    # the column check refuses exactly the maps that a contains check per
+    # image refuses, and names the same first image
+    G, images = case
+    outside = [g for g in images if not G.contains(g)]
+    if not outside:
+        assert Homomorphism(G, images).images == tuple(images)
+        return
+    with pytest.raises(StructuralError) as exc:
+        Homomorphism(G, images)
+    assert str(exc.value) == f"image {outside[0]} not in group {G.factors}"
 
 
 def test_is_bijection_on_cross():
@@ -632,7 +660,10 @@ def test_hermite_basis_is_built_once_per_map(monkeypatch):
     min_distance_window(code, 3)
     codewords_mod_q(restrict_to_zq(code, 12))
     kernel_basis(code.hom)
-    assert calls == [code.hom]
+    # every walk reads the lexicographic basis, the Hermite basis of the
+    # map with its images reversed, and kernel_basis the map's own: each
+    # is built once
+    assert calls == [Homomorphism(code.hom.group, code.hom.images[::-1]), code.hom]
 
 
 def test_bijection_iff_window_tiling():
@@ -693,6 +724,48 @@ def test_kernel_points_in_box_matches_box_filter(case):
     assert kernel_points_in_box(hom, bound) == [p for p in box if apply_hom(hom, p) == identity]
 
 
+@st.composite
+def maps_and_small_boxes(draw):
+    """phi: Z^n -> G, n 1..4, over one cyclic factor or up to three, images
+    often zero, and a box lo..hi whose ranges hold 0 to 5 values."""
+    factors = draw(st.lists(st.integers(2, 12), min_size=1, max_size=3))
+    zero = (0,) * len(factors)
+    image = st.tuples(*(st.integers(0, t - 1) for t in factors))
+    n = draw(st.integers(1, 4))
+    images = draw(st.lists(st.one_of(st.just(zero), image), min_size=n, max_size=n))
+    lo = draw(st.lists(st.integers(-4, 2), min_size=n, max_size=n))
+    hi = [a + draw(st.integers(-1, 4)) for a in lo]
+    return Homomorphism(FiniteAbelianGroup(tuple(factors)), images), lo, hi
+
+
+@settings(max_examples=400, deadline=None)
+@given(maps_and_small_boxes())
+@example((Homomorphism(Z5, ((2,),)), [-7], [8]))  # n = 1
+@example((CROSS_HOM, [1, -2], [0, 3]))  # an empty box
+@example((CROSS_HOM, [3, 1], [3, 1]))  # one point, in the kernel
+@example((CROSS_HOM, [1, 1], [1, 1]))  # one point, outside it
+@example((Homomorphism(FiniteAbelianGroup((4, 2)), ((1, 1), (2, 0), (0, 1))),
+          [-3, -3, -3], [3, 3, 3]))
+def test_kernel_points_are_the_sorted_kernel_points_of_the_box(case):
+    hom, lo, hi = case
+    box = product(*[range(a, b + 1) for a, b in zip(lo, hi)])
+    assert _kernel_points(hom, lo, hi) == sorted(p for p in box if not any(apply_hom(hom, p)))
+
+
+def test_no_reader_sorts_a_kernel_box(monkeypatch):
+    # the walk emits lexicographic order, so the box readers call no lex_sort
+    def no_sort(points):
+        raise AssertionError("lex_sort called")
+
+    monkeypatch.setattr(tiling, "lex_sort", no_sort)
+    monkeypatch.setattr(codes, "lex_sort", no_sort, raising=False)
+    for code, q in ((construct_dpl4(4, 8), 8), (construct_pl1(3), 7)):
+        for words in (kernel_points_in_box(code.hom, 3), codewords_in_window(code, 3),
+                      codewords_mod_q(restrict_to_zq(code, q))):
+            assert len(words) > 10 and words == sorted(words)
+        min_distance_window(code, 3)
+
+
 def reference_kernel_hnf(hom):
     """The two-pass Hermite step kept as a reference: eliminate in the
     natural column order, then bring the kernel rows to lower form."""
@@ -749,7 +822,8 @@ def test_kernel_basis_and_points_match_two_pass_reference(case):
     assert tiling._kernel_hnf(hom) == basis
     expected = []
     reference_descend(basis, hom.n - 1, [0] * hom.n, lo, hi, (), expected)
-    assert _kernel_points(hom, lo, hi) == expected  # same order too
+    # the same points, in lexicographic order with no sort
+    assert _kernel_points(hom, lo, hi) == sorted(expected)
 
 
 def diagonal_kernel_basis(hom):
@@ -792,9 +866,11 @@ def test_kernel_basis_matches_the_diagonal_reference_on_the_certified_codes(name
 
 
 def _reference_points(hom, lo, hi):
+    """The reference walk's points, sorted into the lexicographic order
+    that _kernel_points emits them in."""
     out = []
     reference_descend(kernel_basis(hom).rows, hom.n - 1, [0] * hom.n, lo, hi, (), out)
-    return out
+    return sorted(out)
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFY_HOMS))
