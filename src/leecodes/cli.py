@@ -189,9 +189,9 @@ def cmd_nonregular(args):
     low = 6 * len(args.bits) + 6
     if any(b not in "01" for b in args.bits) or args.window < low:
         raise UsageError(f"--bits must be 0s and 1s and --window >= {low}")
-    # the kernel walk scans x_1 in [-R - 5/2, R + 3/2] and x_2, x_3 in
-    # [-R - 1, R + 1], inside the box of reach 3; reach 4 keeps 103 the
-    # largest window accepted
+    # the kernel walk covers one x_1-period; the bound limits the centers
+    # kept and printed, in [-R - 2, R + 1] x [-R - 1, R + 1]^2; reach 4
+    # keeps 103 the largest window accepted
     _check_window(args.window, 4, 3)
     t = nonregular.shifted_tiling_n3(args.bits, args.window)
     # to_json is the --json payload, written with no list per center

@@ -25,11 +25,10 @@ from math import lcm
 from operator import add, and_, itemgetter
 
 from .errors import DimensionError, DomainError, StructuralError, WindowError, _Frozen
-from .groups import FiniteAbelianGroup, has_generator
+from .groups import FiniteAbelianGroup, element_order, has_generator
 from .lee import _even_weight_members, double_sphere, double_sphere_size, word_length
 from .tiling import (Homomorphism, KernelBasis, _double_cross_images, _exact_cover,
                      _kernel_points, lattice_basis, touch_box)
-from .tiling import lex_sort  # noqa: F401  (still importable as nonregular.lex_sort)
 
 K1 = "K1"
 K2 = "K2"
@@ -108,7 +107,7 @@ def verify_nonregular(hom, n):
 def _n3():
     """(half, tile): the n=3 half-lattice map and its tile double_sphere(3,
     1, 1) as a tuple, built on first use and kept for the process, so the
-    map's Hermite basis is derived once."""
+    one basis the map derives, the walk's lex_hnf, is derived once."""
     return half_lattice_hom(construct_double_cross_hom(3)), tuple(double_sphere(3, 1, 1))
 
 
@@ -188,15 +187,15 @@ def shifted_tiling_n3(bits, R):
     Not every one of them meets [-R,R]^3, but no other center can, so
     the cover check filters nothing.
 
-    Only one period along x_1 is walked.  The map's lower Hermite basis
-    has first row (b, 0, 0), b = 8, so a step of lcm(b, 2) = 2p along d1
-    maps kernel points to kernel points, and the shift reads x_2 + x_3
-    only: c_1 -> c_1 + p, p = 4, maps centers to centers at every x_2
-    and x_3.  The kernel points whose shifted c_1 lies in [lo_1, lo_1 +
-    p - 1] give p rows of (x_2, x_3), each sorted once, and the centers
-    at c_1 are the row of (c_1 - lo_1) mod p.  Each of them is a walked
-    point moved by a multiple of 2p along d1, an even step, so the
-    integrality check on the walked points holds for every center.
+    Only one period along x_1 is walked.  The half image has order b =
+    8, so b e_1 is in the kernel, a step of lcm(b, 2) = 2p along d1 maps
+    kernel points to kernel points, and the shift reads x_2 + x_3 only:
+    c_1 -> c_1 + p, p = 4, maps centers to centers at every x_2 and x_3.
+    The kernel points whose shifted c_1 lies in [lo_1, lo_1 + p - 1] give
+    p rows of (x_2, x_3), each sorted once, and the centers at c_1 are
+    the row of (c_1 - lo_1) mod p.  Each of them is a walked point moved
+    by a multiple of 2p along d1, an even step, so the integrality check
+    on the walked points holds for every center.
     """
     if any(b not in "01" for b in bits):
         raise DomainError(f"bits must be a 0/1 string, got {bits!r}")
@@ -213,7 +212,7 @@ def shifted_tiling_n3(bits, R):
         kind, m = component_index_n3((0, s, 0))
         up = kind == K2 and 1 <= m <= len(bits) and bits[m - 1] == "1"
         shift[s] = 0 if kind == K1 else 1 if up else -1
-    p = lcm(half.hnf[0][0], 2) // 2
+    p = lcm(element_order(half.images[0], half.group), 2) // 2
     # a shift of at most 1/2 along axis 1 brings d1 / 2 into [lo1, lo1 + p - 1]
     # only from d1 in [2 * lo1 - 1, 2 * (lo1 + p - 1) + 1]
     walk = _kernel_points(half, [2 * lo1 - 1, lo2, lo3], [2 * (lo1 + p) - 1, hi2, hi3])

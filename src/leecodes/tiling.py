@@ -34,8 +34,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cached_property
 from itertools import compress, repeat
-from math import lcm, prod
-from operator import add, floordiv, itemgetter, mod, mul, not_, or_, sub
+from math import gcd, lcm, prod
+from operator import add, floordiv, itemgetter, lshift, mod, mul, not_, or_, sub
 
 from .errors import (
     ConstructionError,
@@ -48,9 +48,7 @@ from .errors import (
 from .groups import (
     FiniteAbelianGroup,
     aut_orbit_representatives,
-    element_order,
     enumerate_abelian_groups,
-    lex_rank,
 )
 from .lee import nonzeros, word_length
 
@@ -58,15 +56,15 @@ from .lee import nonzeros, word_length
 class Homomorphism(_Frozen):
     """Images of e_1..e_n in G; half_image, when set, is the image of (1/2)e_1.
 
-    The images are checked one factor column at a time: every entry an
-    int, with 0 <= min and max < t_j; only when a column fails are the
-    images scanned, to name the first one outside G.  packed holds, per
-    e_i, its image coordinates packed into one integer with coordinate
-    j at bit offset j * width, and exponent is the exponent L of G; see
-    the module docstring for why width suffices.  hnf, the checked
-    Hermite basis of ker(phi), and lex_hnf, the one the kernel walk
-    reads, are computed on first use and kept.  None of them is part of
-    ==, hash or repr.
+    The images are read once, as the factor columns _in_group checks;
+    only when a column fails are they scanned, to name the first image
+    outside G.  packed holds, per e_i, its image packed into one integer
+    with coordinate j at bit offset j * width, one shift and add per
+    column (one factor packs to its column), and exponent is the
+    exponent L of G; see the module docstring for why width suffices.
+    hnf, the Hermite basis of ker(phi) that kernel_basis proves, and the
+    checked lex_hnf the kernel walk reads are computed on first use and
+    kept.  None of them is part of ==, hash or repr.
     """
 
     _fields = ("group", "images", "half_image")
@@ -76,7 +74,8 @@ class Homomorphism(_Frozen):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "images", tuple(tuple(g) for g in images))
         object.__setattr__(self, "half_image", half_image)
-        if not _in_group(self.images, group.factors):
+        cols = _in_group(self.images, group.factors)
+        if cols is None:
             bad = next(g for g in self.images if not group.contains(g))
             raise StructuralError(f"image {bad} not in group {group.factors}")
         if self.half_image is not None:
@@ -91,9 +90,10 @@ class Homomorphism(_Frozen):
         w = (self.n * (L - 1) * (max(factors, default=1) - 1)).bit_length() + 1
         object.__setattr__(self, "exponent", L)
         object.__setattr__(self, "width", w)
-        object.__setattr__(self, "packed", tuple(
-            sum(x << j * w for j, x in enumerate(g)) for g in self.images
-        ))
+        packed = cols[0] if cols else repeat(0, self.n)
+        for j, col in enumerate(cols[1:], 1):
+            packed = map(add, packed, map(lshift, col, repeat(j * w)))
+        object.__setattr__(self, "packed", tuple(packed))
 
     @property
     def n(self):
@@ -101,34 +101,34 @@ class Homomorphism(_Frozen):
 
     @cached_property
     def hnf(self):
-        """_kernel_hnf of phi, each row checked to lie in ker(phi); derived
-        once per map, for kernel_basis and for the lex_hnf of the map with
-        its images reversed."""
-        B = _kernel_hnf(self)
-        _check_in_kernel(self, B)
-        return B
+        """_kernel_hnf of phi, unchecked: kernel_basis proves it."""
+        return _kernel_hnf(self.group.factors, self.images)
 
     @cached_property
     def lex_hnf(self):
-        """The hnf of phi with its images reversed: the lower Hermite basis
-        of ker(phi) in the coordinates l_{n-1}, ..., l_0, each row checked
-        to lie in that map's kernel.  Back substitution on it fixes l_0
-        first, so _kernel_points comes out lexicographic."""
-        return Homomorphism(self.group, self.images[::-1]).hnf
+        """The lower Hermite basis of ker(phi) in the coordinates l_{n-1},
+        ..., l_0, each row checked, read back in l, to lie in ker(phi).
+        Back substitution on it fixes l_0 first, so _kernel_points comes
+        out lexicographic."""
+        B = _kernel_hnf(self.group.factors, self.images[::-1])
+        _check_in_kernel(self, (row[::-1] for row in B))
+        return B
 
 
 def _in_group(images, factors):
-    """True iff every image is a tuple of len(factors) ints with 0 <= g_j <
-    t_j: one set of lengths, and per factor one column of types, a min and
-    a max, all in C."""
+    """The images' factor columns if every image is len(factors) ints with
+    0 <= g_j < t_j, else None: one set of lengths, and per column its
+    types, a min and a max, all in C."""
     if not {*map(len, images)} <= {len(factors)}:
-        return False
+        return None
+    cols = []
     for j, t in enumerate(factors):
         col = list(map(itemgetter(j), images))
         if not {*map(type, col)} <= {int} or min(col, default=0) < 0 \
                 or max(col, default=0) >= t:
-            return False
-    return True
+            return None
+        cols.append(col)
+    return cols
 
 
 class KernelBasis(_Frozen):
@@ -356,8 +356,9 @@ def abs_det(rows):
     return det
 
 
-def _kernel_hnf(hom):
-    """Lower-triangular Hermite basis of ker(phi), one image at a time.
+def _kernel_hnf(factors, images):
+    """Lower-triangular Hermite basis of ker(phi), phi(e_i) = images[i]
+    in the product of the Z_t, t in factors, one image at a time.
 
     Row i is d_i e_i + sum a_c e_c over c < i: d_i is the order of
     phi(e_i) modulo the span H_i of the earlier images, and 0 <= a_c <
@@ -374,13 +375,12 @@ def _kernel_hnf(hom):
     whatever the order of the images; only writing out the n dense rows
     takes time quadratic in n.
     """
-    factors = hom.group.factors
     s = len(factors)
-    n = hom.n
+    n = len(images)
     cols = []
     W = [[t if k == j else 0 for k in range(s)] for j, t in enumerate(factors)]
     basis = []
-    for i, g in enumerate(hom.images):
+    for i, g in enumerate(images):
         v = list(g) + [0] * len(cols)
         for k, w in enumerate(W):
             q, r = divmod(v[k], w[k])
@@ -431,8 +431,11 @@ def kernel_basis(hom):
 
 
 def period(hom):
-    """Tiling period: lcm of the orders of the generator images."""
-    return lcm(*(element_order(g, hom.group) for g in hom.images))
+    """Tiling period: lcm of the orders lcm_j t_j / gcd(t_j, g_ij) of the
+    images, that is lcm_j t_j / gcd(t_j, g_1j, ..., g_nj), per column."""
+    images = hom.images
+    return lcm(*(t // gcd(t, *map(itemgetter(j), images))
+                 for j, t in enumerate(hom.group.factors)))
 
 
 def _kernel_points(hom, lo, hi):
@@ -493,19 +496,6 @@ def _kernel_points(hom, lo, hi):
             stack.append((j - 1, part, prefix + (y,)))
             part = list(map(sub, part, row))
     return out
-
-
-def lex_sort(points):
-    """Sort equal-length tuples lexicographically in place.  Nothing in the
-    package calls it now that the kernel walk comes out sorted.
-
-    One stable sort per coordinate, from the last to the first (an LSD
-    order), gives the lexicographic order for any input order.  Each
-    pass compares ints, not tuples, which is about three times faster
-    than one tuple sort on the long runs of ties of a kernel box.
-    """
-    for k in reversed(range(len(points[0]) if points else 0)):
-        points.sort(key=itemgetter(k))
 
 
 def kernel_points_in_box(hom, bound):
@@ -788,9 +778,10 @@ def _search_group(G, start, coeffs, budget, counts, failures, prev, negated):
     the negation cut reads -g as step(0, L - 1, g), of index 0 only for
     g = 0.  A miss sums ((r_j + x * g_j) mod t_j) * P_j over the digits,
     P_j the index of the j-th unit element: lex_rank's Horner sum,
-    expanded.  The dict grows with the steps the search takes, not with
-    |G|^2, and is cleared at SEARCH_MEMO_CAP entries, so memory stays
-    bounded however long the budget lets a search run.
+    expanded, and the sum of e_j * P_j indexes each first image e.  The
+    dict grows with the steps the search takes, not with |G|^2, and is
+    cleared at SEARCH_MEMO_CAP entries, so memory stays bounded however
+    long the budget lets a search run.
     """
     factors = G.factors
     N = G.order
@@ -800,9 +791,9 @@ def _search_group(G, start, coeffs, budget, counts, failures, prev, negated):
     n = len(coeffs)
     images = [None] * n + [0]
     elems = list(G.elements())
-    first = [lex_rank(g, G) - 1 for g in aut_orbit_representatives(G)]
     # the index of e is the sum of e_j * P_j, P_j = t_{j+1} * ... * t_s
     places = [prod(factors[j + 1:]) for j in range(len(factors))]
+    first = [sum(map(mul, g, places)) for g in aut_orbit_representatives(G)]
     memo = {}
     get = memo.get
 

@@ -371,7 +371,7 @@ def random_codes(draw):
                        draw(st.lists(image, min_size=n, max_size=n)))
     anticode = AnticodeSpec(draw(st.sampled_from([SPHERE, DOUBLE_SPHERE])), n, 1,
                             draw(st.integers(1, n)))
-    rows = _kernel_hnf(hom)
+    rows = _kernel_hnf(hom.group.factors, hom.images)
     return LinearLeeCode(anticode, hom, KernelBasis(rows, abs_det(rows)))
 
 

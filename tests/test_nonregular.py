@@ -1,5 +1,4 @@
 import json
-import random
 from itertools import product
 from math import gcd, lcm, prod
 from operator import add
@@ -21,16 +20,11 @@ from leecodes import (
     verify_cover,
     verify_nonregular,
 )
-from leecodes import nonregular
+from leecodes import nonregular, tiling
 from leecodes.errors import DimensionError, DomainError, StructuralError, WindowError
 from leecodes.groups import FiniteAbelianGroup, element_order
 from leecodes.lee import even_weight_member
-from leecodes.nonregular import (
-    K1,
-    K2,
-    half_lattice_hom,
-    lex_sort,
-)
+from leecodes.nonregular import K1, K2, half_lattice_hom
 from leecodes.tiling import (Homomorphism, _double_cross_images, apply_hom, is_bijection_on,
                              touch_box)
 
@@ -459,8 +453,7 @@ def test_shifted_tiling_equals_congruence_loop(bits):
 
 def test_shifted_tiling_walks_one_period(monkeypatch):
     # one x_1-period of the doubled box is 570 kernel points at R = 18,
-    # the whole box 5133; the rows come out sorted, with no sort of the
-    # whole tiling
+    # the whole box 5133; the rows come out sorted
     walk = nonregular._kernel_points
     walked = []
 
@@ -469,14 +462,24 @@ def test_shifted_tiling_walks_one_period(monkeypatch):
         walked.append(len(out))
         return out
 
-    def whole_sort(points):
-        raise AssertionError("lex_sort called")
-
     monkeypatch.setattr(nonregular, "_kernel_points", counted)
-    monkeypatch.setattr(nonregular, "lex_sort", whole_sort)
     t = shifted_tiling_n3("01", 18)
     assert len(walked) == 1 and walked[0] <= 600
     assert len(t.centers) == 5070 and list(t.centers) == sorted(t.centers)
+
+
+def test_the_n3_map_derives_only_the_walk_basis(monkeypatch):
+    # the period is the order of the half image, so the half map builds
+    # lex_hnf alone, and its walk builds no second map
+    calls = []
+    real = tiling._in_group
+    monkeypatch.setattr(tiling, "_in_group",
+                        lambda images, factors: calls.append(images) or real(images, factors))
+    nonregular._n3.cache_clear()
+    shifted_tiling_n3("01", 18)
+    half, _ = nonregular._n3()
+    assert len(calls) == 2  # the double-cross map and its half map
+    assert "lex_hnf" in vars(half) and "hnf" not in vars(half)
 
 
 @pytest.mark.parametrize("bits", ["00", "01", "10", "11"])
@@ -497,18 +500,6 @@ def test_shifted_tiling_covers_every_window(bits):
     low = 6 * len(bits) + 6
     for R in (low, low + 1, low + 5, 30):
         assert verify_cover(shifted_tiling_n3(bits, R)), (bits, R)
-
-
-def test_lex_sort_equals_sorted_on_shuffled_centers():
-    rng = random.Random(11)
-    centers = list(shifted_tiling_n3("101", 24).centers)
-    ties = [tuple(rng.randrange(-2, 3) for _ in range(3)) for _ in range(500)]
-    for points in (centers, ties, [], [(1, 0, 0)]):
-        for _ in range(3):
-            rng.shuffle(points)
-            got = list(points)
-            lex_sort(got)
-            assert got == sorted(points)
 
 
 def test_shifted_tiling_window_too_small():

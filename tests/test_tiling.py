@@ -1,6 +1,6 @@
 import time
 from itertools import combinations, product
-from math import prod
+from math import lcm, prod
 from operator import add
 from unittest.mock import patch
 
@@ -19,7 +19,7 @@ from leecodes import (
     search_lattice_tiling,
     verify_window_tiling,
 )
-from leecodes import (codes, codewords_in_window, construct_dpl4, construct_pl1,
+from leecodes import (codewords_in_window, construct_dpl4, construct_pl1,
                       codewords_mod_q, min_distance_window, restrict_to_zq, tiling)
 from leecodes.errors import (
     ConstructionError,
@@ -28,7 +28,7 @@ from leecodes.errors import (
     SizeError,
     StructuralError,
 )
-from leecodes.groups import aut_orbit_representatives, enumerate_abelian_groups
+from leecodes.groups import aut_orbit_representatives, element_order, enumerate_abelian_groups
 from leecodes.lee import lee_sphere_sparse, nonzeros
 from leecodes.nonregular import construct_double_cross_hom, half_lattice_hom
 from leecodes.tiling import (
@@ -532,6 +532,72 @@ def test_period_is_minimal_kernel_period():
             assert in_kernel == (q % p == 0)
 
 
+@st.composite
+def maps_with_zero_columns(draw):
+    """phi: Z^n -> G with 0..3 cyclic factors of size 2..24 and n <= 6,
+    some factor columns all zero."""
+    factors = draw(st.lists(st.integers(2, 24), max_size=3))
+    zero = draw(st.sets(st.sampled_from(range(len(factors))))) if factors else set()
+    image = st.tuples(*(st.just(0) if j in zero else st.integers(0, t - 1)
+                        for j, t in enumerate(factors)))
+    n = draw(st.integers(0, 6))
+    images = draw(st.lists(image, min_size=n, max_size=n))
+    return Homomorphism(FiniteAbelianGroup(tuple(factors)), images)
+
+
+@settings(max_examples=300, deadline=None)
+@given(maps_with_zero_columns())
+@example(Homomorphism(Z5, ()))
+@example(Homomorphism(FiniteAbelianGroup((4, 6, 9)), ((2, 0, 3), (0, 0, 6), (2, 0, 0))))
+def test_period_is_the_lcm_of_the_image_orders(hom):
+    # the rule period used to evaluate, one element order per image
+    assert period(hom) == lcm(*(element_order(g, hom.group) for g in hom.images))
+
+
+@settings(max_examples=300, deadline=None)
+@given(maps_with_zero_columns())
+def test_packed_is_each_image_packed_alone(hom):
+    # the rule Homomorphism used to pack by, one shifted sum per image
+    w = hom.width
+    assert hom.packed == tuple(sum(x << j * w for j, x in enumerate(g)) for g in hom.images)
+
+
+@settings(max_examples=300, deadline=None)
+@given(maps_with_zero_columns())
+def test_lex_hnf_is_the_hnf_of_the_reversed_map(hom):
+    assert hom.lex_hnf == Homomorphism(hom.group, hom.images[::-1]).hnf
+
+
+def test_kernel_basis_checks_its_rows_once(monkeypatch):
+    # hnf is derived unchecked: lattice_basis, in kernel_basis, is its one proof
+    checked = []
+    real = tiling._check_in_kernel
+
+    def counted(hom, rows):
+        rows = list(rows)
+        checked.append(rows)
+        real(hom, rows)
+
+    monkeypatch.setattr(tiling, "_check_in_kernel", counted)
+    hom = Homomorphism(FiniteAbelianGroup((11,)), tuple((i,) for i in range(1, 6)))
+    kb = kernel_basis(hom)
+    assert checked == [list(kb.rows)] and len(kb.rows) == 5
+
+
+def test_a_first_walk_builds_no_second_map(monkeypatch):
+    # the walk's basis is derived from the map's images: no second
+    # Homomorphism, and so no second image check
+    calls = []
+    real = tiling._in_group
+    monkeypatch.setattr(tiling, "_in_group",
+                        lambda images, factors: calls.append(images) or real(images, factors))
+    code = construct_dpl4(4, 8)
+    assert len(calls) == 1
+    hom = code.hom
+    points = kernel_points_in_box(hom, 3)
+    assert "lex_hnf" in vars(hom) and len(points) > 10 and len(calls) == 1
+
+
 def test_kernel_points_in_box():
     pts = kernel_points_in_box(CROSS_HOM, 3)
     assert (0, 0) in pts
@@ -653,7 +719,8 @@ def test_bitset_of_a_hundred_thousand_bits():
 def test_hermite_basis_is_built_once_per_map(monkeypatch):
     calls = []
     real = tiling._kernel_hnf
-    monkeypatch.setattr(tiling, "_kernel_hnf", lambda hom: calls.append(hom) or real(hom))
+    monkeypatch.setattr(tiling, "_kernel_hnf",
+                        lambda factors, images: calls.append(images) or real(factors, images))
     code = construct_dpl4(3, 12)
     verify_window_tiling(code.hom, code.anticode.points(), 3)
     kernel_points_in_box(code.hom, 4)
@@ -661,9 +728,8 @@ def test_hermite_basis_is_built_once_per_map(monkeypatch):
     codewords_mod_q(restrict_to_zq(code, 12))
     kernel_basis(code.hom)
     # every walk reads the lexicographic basis, the Hermite basis of the
-    # map with its images reversed, and kernel_basis the map's own: each
-    # is built once
-    assert calls == [Homomorphism(code.hom.group, code.hom.images[::-1]), code.hom]
+    # images reversed, and kernel_basis the map's own: each is built once
+    assert calls == [code.hom.images[::-1], code.hom.images]
 
 
 def test_bijection_iff_window_tiling():
@@ -752,13 +818,8 @@ def test_kernel_points_are_the_sorted_kernel_points_of_the_box(case):
     assert _kernel_points(hom, lo, hi) == sorted(p for p in box if not any(apply_hom(hom, p)))
 
 
-def test_no_reader_sorts_a_kernel_box(monkeypatch):
-    # the walk emits lexicographic order, so the box readers call no lex_sort
-    def no_sort(points):
-        raise AssertionError("lex_sort called")
-
-    monkeypatch.setattr(tiling, "lex_sort", no_sort)
-    monkeypatch.setattr(codes, "lex_sort", no_sort, raising=False)
+def test_no_reader_sorts_a_kernel_box():
+    # the walk emits lexicographic order, and so does every box reader
     for code, q in ((construct_dpl4(4, 8), 8), (construct_pl1(3), 7)):
         for words in (kernel_points_in_box(code.hom, 3), codewords_in_window(code, 3),
                       codewords_mod_q(restrict_to_zq(code, q))):
@@ -819,7 +880,7 @@ def maps_and_boxes(draw):
 def test_kernel_basis_and_points_match_two_pass_reference(case):
     hom, lo, hi = case
     basis = reference_kernel_hnf(hom)
-    assert tiling._kernel_hnf(hom) == basis
+    assert tiling._kernel_hnf(hom.group.factors, hom.images) == basis
     expected = []
     reference_descend(basis, hom.n - 1, [0] * hom.n, lo, hi, (), expected)
     # the same points, in lexicographic order with no sort
