@@ -5,9 +5,9 @@ inadmissible, verification failed), 2 budget exceeded, 64 usage error
 (an argument value out of range, such as a --budget below 1, a decode
 word of the wrong length, a --mod the code's period does not divide or
 a verify --window too small to hold two codewords), 65 data-format
-error, 70 internal error (any other exception, such as MemoryError,
-reported in one line with no traceback), 130 interrupted (Ctrl-C);
-run alone maps errors to them.
+error, 70 internal error (any other exception, such as MemoryError or
+a broken library invariant, in one line with no traceback), 130
+interrupted (Ctrl-C); run alone maps errors to them.
 """
 
 from __future__ import annotations
@@ -324,9 +324,6 @@ def run(argv):
         # --window (too small to hold two codewords) can raise these
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except LeeCodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
     except (OSError, UnicodeDecodeError) as exc:
         # a file that cannot be read as text, or an --out that cannot be written
         print(f"io error: {exc}", file=sys.stderr)
@@ -335,7 +332,8 @@ def run(argv):
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
     except Exception as exc:
-        # a fault of the program or the machine, such as MemoryError: one
+        # a fault of the program or the machine, such as MemoryError, or a
+        # broken library invariant (ConstructionError, StructuralError): one
         # line, with a code that no result shares; the repr keeps it one line
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_SOFTWARE

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from math import gcd, lcm, prod
 from operator import add, floordiv, itemgetter, lshift, mod, mul, not_, or_, sub
 
@@ -695,43 +695,44 @@ def _tile_symmetries(W):
     of W (n for a class's first member), and negated[d] says whether
     negating coordinate d >= 1 does (negated[0] is the orbit cut's).
 
-    A map of the coordinates sends W onto W + t only when t moves each
-    image column's range onto the column's own range, and then exactly
-    when every image word less t lies in W, since the images are |W|
-    distinct words.
+    Each word is kept as the mixed-radix index of u = w - lo, lo the
+    least value of each column: the sum of u_c * P_c, P_c the product of
+    s_b + 1 over the columns b < c, s_b the spread of column b.  A map of
+    the coordinates sends W onto a translate only if it keeps every
+    column's spread, and then exactly when it moves each word's index
+    into the set of W's, since the images are |W| distinct words and the
+    index is injective on the box 0 <= u_c <= s_c, which the map keeps.
+    A swap of i and j moves an index by (u_j - u_i)(P_i - P_j), and a
+    negation of d by (s_d - 2 u_d) P_d: one pass over the indices each.
 
     Such swaps compose: if (i j) and (j k) map W onto translates, so
     does (i k) = (i j)(j k)(i j).  The interchangeable coordinates are
     therefore classes, found by testing each j against the first member
     of each class: n - 1 tests on the cross of Z^n, not n(n - 1)/2.
     """
-    cols = list(zip(*W))
+    cols = [list(map(sub, col, repeat(min(col)))) for col in zip(*W)]
     n = len(cols)
-    lo = list(map(min, cols))
-    hi = list(map(max, cols))
-    members = set(W)
+    spread = list(map(max, cols))
+    places = list(accumulate([s + 1 for s in spread], mul, initial=1))
+    index = [sum(map(mul, u, places)) for u in zip(*cols)]
+    members = set(index)
 
-    def onto(image):
-        return all(map(members.__contains__, zip(*image)))
+    def onto(new, old, step):  # each index moves by (new - old) * step
+        moved = map(mul, map(sub, new, old), repeat(step))
+        return members.issuperset(map(add, index, moved))
 
     prev = [n] * n
     tail = {}  # the first member of each class -> its latest member
     for j in range(n):
         for i in tail:
-            if hi[i] - lo[i] == hi[j] - lo[j]:
-                image = cols[:]
-                image[i] = [x + lo[i] - lo[j] for x in cols[j]]
-                image[j] = [x + lo[j] - lo[i] for x in cols[i]]
-                if onto(image):
-                    prev[j], tail[i] = tail[i], j
-                    break
+            if spread[i] == spread[j] and onto(cols[j], cols[i], places[i] - places[j]):
+                prev[j], tail[i] = tail[i], j
+                break
         else:
             tail[j] = j
     negated = [False] * n
     for d in range(1, n):
-        image = cols[:]
-        image[d] = [lo[d] + hi[d] - x for x in cols[d]]
-        negated[d] = onto(image)
+        negated[d] = onto(map(sub, repeat(spread[d]), cols[d]), cols[d], places[d])
     return prev, negated
 
 
@@ -868,7 +869,7 @@ def search_lattice_tiling(V, budget=DEFAULT_BUDGET):
     returns the same solution, groups_tried and status as trying every
     element; only nodes, assignments_tried and failures shrink.  The
     tile's own coordinate swaps and negations, found once per call by
-    comparing the tile with their images as sets, cut the same way and
+    moving the mixed-radix indices of its words, cut the same way and
     keep the same results: image j is never below that of j's
     predecessor among the coordinates it swaps with, and image d never
     above its negative, by index, when negating coordinate d maps the

@@ -25,7 +25,7 @@ from leecodes.cli import (
     MAX_GROUP_ORDER,
     run,
 )
-from leecodes.errors import DataFormatError
+from leecodes.errors import ConstructionError, DataFormatError, StructuralError
 from leecodes.lee import double_sphere, format_words, lee_sphere, nonzeros
 from leecodes.tiling import abs_det
 
@@ -336,9 +336,12 @@ def test_nonregular_json_at_the_largest_window_builds_no_list_per_center(tmp_pat
     assert int(maxrss_kb) < 120 * 1024
 
 
-@pytest.mark.parametrize("exc", [MemoryError(), RuntimeError("injected fault")])
+@pytest.mark.parametrize("exc", [MemoryError(), RuntimeError("injected fault"),
+                                 StructuralError("shifted center (1/2,0,0) is not integral"),
+                                 ConstructionError("basis row (1, 0, 0) not in kernel")])
 def test_unexpected_error_exits_70_in_one_line(monkeypatch, capsys, exc):
-    # exit 1 is a verified negative, so a fault must not read as one
+    # exit 1 is a verified negative, so a fault must not read as one, nor
+    # must a broken library invariant that no accepted input reaches
     def fail(*args):
         raise exc
 

@@ -1276,9 +1276,11 @@ def test_symmetry_cut_matches_unpruned_search(case):
     assert res.assignments_tried <= ref.assignments_tried
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", [*range(1, 7), 40])
 def test_tile_symmetries_of_the_double_sphere(n):
-    # the double sphere is long on axis 0: it swaps and negates only the others
+    # the double sphere is long on axis 0: it swaps and negates only the
+    # others; at n = 40 its box holds 4 * 3^39 > 2^63 points, so the word
+    # indices are wider than a machine word
     W = tiling._normalize_tile(double_sphere(n, 1))
     assert _expanded(tiling._tile_symmetries(W)) == (list(combinations(range(1, n), 2)),
                                                      list(range(1, n)))
@@ -1303,12 +1305,14 @@ def test_tile_symmetries_within_classes():
     # each coordinate keeps only its predecessor in its class; 4 = n marks
     # a class's first member
     assert tiling._tile_symmetries(W) == ([4, 0, 4, 2], [False, True, True, True])
-    # the cross of Z^n: one class, every pair
-    n = 6
-    W = tiling._normalize_tile(lee_sphere(n, 1))
-    assert _expanded(tiling._tile_symmetries(W)) == (list(combinations(range(n), 2)),
-                                                     list(range(1, n)))
-    assert tiling._tile_symmetries(W) == ([n] + list(range(n - 1)), [False] + [True] * (n - 1))
+    # the cross of Z^n: one class, every pair; the box of Z^40's holds
+    # 3^40 > 2^63 points
+    for n in (6, 40):
+        W = tiling._normalize_tile(lee_sphere(n, 1))
+        assert _expanded(tiling._tile_symmetries(W)) == (list(combinations(range(n), 2)),
+                                                         list(range(1, n)))
+        assert tiling._tile_symmetries(W) == ([n] + list(range(n - 1)),
+                                              [False] + [True] * (n - 1))
 
 
 def _swapped(w, i, j):
@@ -1365,6 +1369,15 @@ def test_search_set_up_is_bounded_on_a_large_cross():
     res = search_lattice_tiling(_edge(900), budget=1)
     assert res.status == BUDGET_EXCEEDED
     assert time.perf_counter() - start < 3
+    # each symmetry test is one pass over the words' mixed-radix indices, with
+    # no image words built: rebuilding every word for each test took 12-17 s
+    # on the cross of Z^600 and 3-4 s on the one word 0 of Z^4000, against
+    # 0.7 s and 0.03 s now, on a 2-vCPU VM
+    for V, limit in [(lee_sphere(600, 1), 4), ([(0,) * 4000], 1)]:
+        start = time.perf_counter()
+        res = search_lattice_tiling(V, budget=1)
+        assert res.status == BUDGET_EXCEEDED
+        assert time.perf_counter() - start < limit
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
