@@ -12,8 +12,9 @@ pairwise-distinct integer-centered window tilings and, through the
 even-weight transversal, non-lattice diameter-4 codes on the window;
 its half-lattice map and tile are built once per process, on first use,
 and its centers repeat with period 4 along x_1, so one period of the
-kernel walk gives every row of the window.  A tiling's centers are read
-as columns once, and the cover check and the code both read those.
+kernel walk gives every row of the window and the tiling's columns,
+which the cover check and the code both read; the cover check scatters
+one period of x_1-slabs and copies the rest.
 """
 
 from __future__ import annotations
@@ -142,12 +143,14 @@ def component_index_n3(center):
 class ShiftedWindowTiling(_Frozen):
     """The centers of a shifted tiling that can touch [-R,R]^3.
 
-    columns, the centers read as columns, is derived on first use and
-    kept, for verify_cover and code_from_window_tiling to share; like
-    the bases a Homomorphism keeps, it is outside ==, hash, repr and
-    to_dict.  to_json writes the centers tuple as it is: json writes a
-    tuple as an array, so the text is to_dict's, with no list built per
-    center.
+    columns, the centers as three tuple columns, is what verify_cover
+    and code_from_window_tiling share.  shifted_tiling_n3 builds it from
+    its period rows and hands it over; a tiling built by hand derives it
+    from the centers on first use and keeps it.  Like the bases a
+    Homomorphism keeps, it is outside ==, hash, repr and to_dict, and
+    pickle and deepcopy carry it along.  to_json writes the centers
+    tuple as it is: json writes a tuple as an array, so the text is
+    to_dict's, with no list built per center.
     """
 
     _fields = ("R", "bits", "centers")
@@ -195,7 +198,10 @@ def shifted_tiling_n3(bits, R):
     p rows of (x_2, x_3), each sorted once, and the centers at c_1 are
     the row of (c_1 - lo_1) mod p.  Each of them is a walked point moved
     by a multiple of 2p along d1, an even step, so the integrality check
-    on the walked points holds for every center.
+    on the walked points holds for every center.  The tiling's columns
+    come from the rows too, by tuple concatenation: whole periods of
+    them, then the first rows of one more, so no reader extracts them
+    from the centers.
     """
     if any(b not in "01" for b in bits):
         raise DomainError(f"bits must be a 0/1 string, got {bits!r}")
@@ -228,19 +234,27 @@ def shifted_tiling_n3(bits, R):
             rows[k].append((x2, x3))
     # each row as its (x_2, x_3) columns, in lexicographic order; distinct,
     # since kernel points are and the shift depends on x_2 + x_3 only
-    cols = [tuple(zip(*sorted(row))) for row in rows]
-    centers = []
+    rows = [tuple(zip(*sorted(row))) for row in rows]
+    centers, x1 = [], []
     for c1 in range(lo1, hi1 + 1):
-        xs2, xs3 = cols[(c1 - lo1) % p]
-        centers.extend(zip(repeat(c1), xs2, xs3))
-    return ShiftedWindowTiling(R=R, bits=bits, centers=tuple(centers))
+        xs2, xs3 = rows[(c1 - lo1) % p]
+        centers += zip(repeat(c1), xs2, xs3)
+        x1 += repeat(c1, len(xs2))
+    # the x_2 and x_3 columns: q whole periods of rows, then the first r rows
+    q, r = divmod(hi1 - lo1 + 1, p)
+    x2, x3 = (sum(period, ()) * q + sum(period[:r], ()) for period in zip(*rows))
+    tiling = ShiftedWindowTiling(R=R, bits=bits, centers=tuple(centers))
+    object.__setattr__(tiling, "columns", (tuple(x1), x2, x3))  # seeds the cached_property
+    return tiling
 
 
 def verify_cover(tiling):
     """Exact-cover oracle: each window point in exactly one translate.
 
-    tiling.exact_cover's core, on the tiling's columns.  DimensionError
-    for centers of mixed length, or of a length other than 3.
+    tiling.exact_cover's core, on the tiling's columns: the centers
+    repeat with period 4 along x_1, so it scatters at most four x_1-slabs
+    and copies the rest.  DimensionError for centers of mixed length, or of
+    a length other than 3.
     """
     cols = tiling.columns
     if tiling.centers and len(cols) != 3:

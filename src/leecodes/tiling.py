@@ -10,8 +10,10 @@ kernel-basis extraction, the kernel points of a box in lexicographic
 order by back substitution on the basis of the map with its images
 reversed, the tiling period, a finite-window exact-cover oracle on
 big-integer bitsets (one shift per tile member over the whole padded
-window) that reads the centers as columns, and the exhaustive search
-over groups and image assignments.
+window) that reads the centers as columns and writes the centers'
+bitset one x_1-slab at a time, scattering each distinct slab once, so
+a tiling periodic along x_1 costs one period of scatters, and the
+exhaustive search over groups and image assignments.
 
 phi is evaluated in one pass over the word for any G = Z_t1 x ... x Z_ts.
 The image of e_i is packed into one integer with coordinate j at bit
@@ -31,7 +33,7 @@ raised a decode from 25 to 43 us.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import accumulate, compress, repeat
 from math import gcd, lcm, prod
@@ -503,41 +505,110 @@ def kernel_points_in_box(hom, bound):
     return _kernel_points(hom, [-bound] * hom.n, [bound] * hom.n)
 
 
-def _bitset(indices, size):
-    """(the integer with bit i set for every i in indices, how many indices).
+def _scatter(buf, indices):
+    """Write the ASCII '1' at index ~i of buf, a bytearray or a view of
+    one, for every i in indices."""
+    for i in indices:
+        buf[~i] = 49  # ord('1')
 
-    The indices must lie in 0..size-1; a repeated one is counted again,
-    so a count above the integer's bit_count shows a repeat.  Bit i is
-    the ASCII '1' written at index ~i of a string of size '0' bytes,
-    and int(..., 2) reads the string back: both steps run in C, at a
-    transient cost of one byte per point.  Base 2 is exempt from
-    CPython's limit on the digits of an int string.
+
+def _bitset(indices, size):
+    """The integer with bit i set for every i in indices, each in 0..size-1.
+
+    Bit i is the ASCII '1' _scatter writes at index ~i of a string of
+    size '0' bytes, and int(..., 2) reads the string back: both steps
+    run in C, at a transient cost of one byte per point.  Base 2 is
+    exempt from CPython's limit on the digits of an int string.
     """
     buf = bytearray(b"0") * size
-    count = 0
-    for count, i in enumerate(indices, 1):
-        buf[~i] = 49  # ord('1')
-    return int(buf, 2), count
+    _scatter(buf, indices)
+    return int(buf, 2)
 
 
-def _touching(cols, count, lo, hi, strides):
-    """Box indices sum (c_i - lo_i) * stride_i, lazily, of the centers that can touch.
+def _touching(cols, lo, hi):
+    """The columns of the centers that can touch, those with lo_i <= c_i <=
+    hi_i on every axis, for (lo, hi) = touch_box; see exact_cover.
 
-    cols are the count centers as columns and (lo, hi) is touch_box;
-    see exact_cover.  (c_i - lo_i) // (hi_i - lo_i + 1) is 0 exactly
-    when lo_i <= c_i <= hi_i, so the OR of those quotients is 0 exactly
-    for the touching centers; only the columns with a value out of
-    range are tested.  A stride of 1, the first axis's, adds the column
-    as it is.
+    (c_i - lo_i) // (hi_i - lo_i + 1) is 0 exactly when lo_i <= c_i <=
+    hi_i, so the OR of those quotients is 0 exactly for the touching
+    centers; only the columns with a value out of range are tested, and
+    when none has one, cols come back as they are.
     """
-    idx = repeat(-sum(map(mul, lo, strides)), count)
     away = None
-    for col, a, b, st in zip(cols, lo, hi, strides):
-        idx = map(add, idx, col if st == 1 else map(mul, col, repeat(st)))
+    for col, a, b in zip(cols, lo, hi):
         if min(col, default=a) < a or max(col, default=b) > b:
             q = map(floordiv, map(sub, col, repeat(a)), repeat(b - a + 1))
             away = q if away is None else map(or_, away, q)
-    return idx if away is None else compress(idx, map(not_, away))
+    if away is None:
+        return cols
+    keep = list(map(not_, away))
+    return [tuple(compress(col, keep)) for col in cols]
+
+
+def _indices(cols, count, lo, strides):
+    """Box indices sum (c_i - lo_i) * stride_i of count centers given as
+    columns, lazily.  A stride of 1 adds its column as it is."""
+    idx = repeat(-sum(map(mul, lo, strides)), count)
+    for col, st in zip(cols, strides):
+        idx = map(add, idx, col if st == 1 else map(mul, col, repeat(st)))
+    return idx
+
+
+def _runs(col):
+    """The bounds (a, b) of the runs of equal values of the sequence col,
+    in order, if its values never decrease; else None.  Each run is
+    found by bisection and then checked: all its values equal, and above
+    the run before."""
+    runs = []
+    a = 0
+    while a < len(col):
+        v = col[a]
+        b = bisect_right(col, v, a)
+        if col[a:b].count(v) != b - a or a and col[a - 1] >= v:
+            return None
+        runs.append((a, b))
+        a = b
+    return runs
+
+
+def _slab_bitset(cols, lo, strides, size):
+    """The bitset of the centers' box indices, built one x_1-slab at a time.
+
+    cols are touching centers, as n >= 1 tuple columns, in the layout of
+    _exact_cover, where x_1 is the outermost axis: the points with one
+    x_1 fill a slab of strides[0] consecutive bits.  The centers are
+    read as runs of equal x_1, after a stable sort by x_1, which copies
+    the columns, when x_1 ever decreases.  A run is keyed on its length
+    and its other columns, which fix the bits it sets within its slab:
+    the first run of a key is scattered into its slab of the string,
+    through a view, and a later one copies the bytes already written,
+    view to view.  A tiling periodic along x_1 thus scatters one period
+    of slabs.  The transient is the byte per point of _bitset, plus the
+    keys: about 8(n - 1) bytes per center when no slab repeats.
+    """
+    runs = _runs(cols[0])
+    if runs is None:
+        # an unsorted column has two or more values, so the getter returns tuples
+        take = itemgetter(*sorted(range(len(cols[0])), key=cols[0].__getitem__))
+        cols = list(map(take, cols))
+        runs = _runs(cols[0])
+    x1 = cols[0]
+    slab = strides[0]
+    buf = bytearray(b"0") * size
+    first = {}  # key -> where in buf its first slab ends
+    with memoryview(buf) as view:
+        for a, b in runs:
+            rest = [col[a:b] for col in cols[1:]]
+            key = (b - a, *rest)
+            end = size - (x1[a] - lo[0]) * slab
+            src = first.get(key)
+            if src is None:
+                first[key] = end
+                _scatter(view[end - slab:end], _indices(rest, b - a, lo[1:], strides[1:]))
+            else:
+                view[end - slab:end] = view[src - slab:src]
+    first.clear()  # the keys need not live through int(), the peak of the call
+    return int(buf, 2)
 
 
 def _repeat(mask, count, step):
@@ -564,15 +635,18 @@ def exact_cover(centers, tile, R):
     touch_box(tile, R), and then all of it lies in the padded box
     [-R - s_i, R + s_i]^n, s_i = hi_i - lo_i - 2R the spread of the
     tile on axis i.  The points of that box are bits of one integer in
-    mixed radix, so the window is a bit mask and the touching centers,
-    stored at sum (c_i - lo_i) * stride_i, the index of c + m with m_i =
-    R - hi_i the least v_i, are another; the member v of every
-    translate is then one shift of the centers by the offset of v - m
-    >= 0.  A center given twice goes into a second bitset too, and is
-    an overlap only if its translate meets the window.  centers and
-    tile are sequences, each read more than once.  SizeError for an
-    empty tile, DimensionError for tile words of mixed length or a
-    center whose length is not theirs.
+    mixed radix, with x_1 the outermost axis, so the window is a bit
+    mask and the touching centers, stored at sum (c_i - lo_i) *
+    stride_i, the index of c + m with m_i = R - hi_i the least v_i, are
+    another; the member v of every translate is then one shift of the
+    centers by the offset of v - m >= 0.  The centers' bitset is built
+    one x_1-slab at a time, and a slab whose centers repeat an earlier
+    one's, up to x_1, is copied, not scattered again (_slab_bitset).  A
+    center given twice goes into a second bitset too, and is an overlap
+    only if its translate meets the window.  centers and tile are
+    sequences, each read more than once.  SizeError for an empty tile,
+    DimensionError for tile words of mixed length or a center whose
+    length is not theirs.
     """
     n = word_length(tile)
     if n is None:
@@ -580,32 +654,38 @@ def exact_cover(centers, tile, R):
     if word_length(centers) not in (None, n):
         raise DimensionError(f"a center's length is not the tile's n = {n}")
     # one column at a time: zip(*centers) would hold an iterator per center
-    cols = [list(map(itemgetter(i), centers)) for i in range(n)]
+    cols = [tuple(map(itemgetter(i), centers)) for i in range(n)]
     return _exact_cover(cols, len(centers), tile, R)
 
 
 def _exact_cover(cols, count, tile, R):
-    """exact_cover of count centers given as their columns, each a sequence
-    read more than once: the core both the tuple and the column readers
-    call.  The tile is a nonempty sequence of words of one length n, and
-    cols holds n columns, or none when count is 0."""
-    if R < 0:
+    """exact_cover of count centers given as their columns, each a tuple:
+    the core both the tuple and the column readers call.  The tile is a
+    nonempty sequence of words of one length n, and cols holds n
+    columns, or none when count is 0."""
+    if R < 0 or not count:
         return False
     lo, hi = touch_box(tile, R)
-    strides = []
+    n = len(lo)
+    strides = [0] * n
     size = 1
     win = 1
-    for a, b in zip(lo, hi):
-        s = b - a - 2 * R
-        strides.append(size)
+    for i in [*range(1, n), 0][:n]:  # x_1 outermost
+        s = hi[i] - lo[i] - 2 * R
+        strides[i] = size
         win = _repeat(win, 2 * R + 1, size) << s * size
         size *= 2 * (R + s) + 1
-    base, touching = _bitset(_touching(cols, count, lo, hi, strides), size)
+    cols = _touching(cols, lo, hi)
+    if n:
+        count = len(cols[0])
+        base = _slab_bitset(cols, lo, strides, size)
+    else:
+        base = 1  # the one point of Z^0, which every center sets
     twice = 0
-    if base.bit_count() != touching:
+    if base.bit_count() != count:
         seen = set()
-        twice, _ = _bitset({i for i in _touching(cols, count, lo, hi, strides)
-                            if i in seen or seen.add(i)}, size)
+        twice = _bitset({i for i in _indices(cols, count, lo, strides)
+                         if i in seen or seen.add(i)}, size)
     minus_m = [b - R for b in hi]
     cover = 0
     for v in tile:

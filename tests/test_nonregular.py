@@ -1,7 +1,9 @@
+import copy
 import json
+import pickle
 from itertools import product
 from math import gcd, lcm, prod
-from operator import add
+from operator import add, itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -599,16 +601,65 @@ def test_column_readers_keep_results_and_errors_on_hand_built_tilings(centers, R
 
 
 def test_columns_are_the_centers_read_once_and_outside_equality():
+    # shifted_tiling_n3 hands the tiling the columns it built from its
+    # period rows; a tiling built by hand reads its centers on first use
     t = shifted_tiling_n3("01", 18)
     fresh = shifted_tiling_n3("01", 18)
-    assert "columns" not in vars(t)
-    cols = t.columns
-    assert cols == tuple(zip(*t.centers)) and t.columns is cols
-    assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
-    assert t.to_dict() == fresh.to_dict() and t.to_json() == fresh.to_json()
+    cols = vars(t)["columns"]
+    assert cols == tuple(tuple(map(itemgetter(i), t.centers)) for i in range(3))
+    assert all(type(col) is tuple for col in cols) and t.columns is cols
+    hand = ShiftedWindowTiling(R=18, bits="01", centers=t.centers)
+    assert "columns" not in vars(hand)
+    assert hand.columns == cols and hand.columns is hand.columns
+    for other in (fresh, hand):
+        assert t == other and hash(t) == hash(other) and repr(t) == repr(other)
+        assert t.to_dict() == other.to_dict() and t.to_json() == other.to_json()
     for centers, *_ in HAND_BUILT[:7]:
         assert ShiftedWindowTiling(R=6, bits="", centers=centers).columns == \
             tuple(zip(*centers))
+
+
+@pytest.mark.parametrize("bits", ["", "0", "1", "01", "110"])
+def test_seeded_columns_are_the_centers_read_as_columns(bits):
+    for R in (6 * len(bits) + 6, 6 * len(bits) + 7, 25):
+        t = shifted_tiling_n3(bits, R)
+        assert t.columns == tuple(tuple(map(itemgetter(i), t.centers)) for i in range(3))
+
+
+@pytest.mark.parametrize("roundtrip", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_seeded_columns_stay_outside_equality_and_survive_roundtrips(roundtrip):
+    t = shifted_tiling_n3("10", 18)
+    bare = ShiftedWindowTiling(R=18, bits="10", centers=t.centers)
+    assert "columns" in vars(t) and "columns" not in vars(bare)
+    assert t == bare and hash(t) == hash(bare) and repr(t) == repr(bare)
+    assert "columns" not in repr(t)
+    copied = roundtrip(t)
+    assert copied is not t and copied == t and hash(copied) == hash(t)
+    assert vars(copied) == vars(t) and copied.columns == t.columns
+    assert verify_cover(copied) and code_from_window_tiling(copied) == code_from_window_tiling(t)
+    with pytest.raises(AttributeError):
+        setattr(copied, "columns", None)
+
+
+def test_verify_cover_scatters_one_period_of_slabs(monkeypatch):
+    # the centers repeat along x_1 with period p = 4, so only the first
+    # four slabs are scattered: at most the centers with c_1 < lo_1 + 4
+    # of the 5070, each box index yielded once
+    indices = tiling._indices
+    yielded = []
+
+    def counted(*args):
+        for i in indices(*args):
+            yielded.append(i)
+            yield i
+
+    t = shifted_tiling_n3("01", 18)
+    monkeypatch.setattr(tiling, "_indices", counted)
+    assert verify_cover(t)
+    lo1 = touch_box(double_sphere(3, 1, 1), 18)[0][0]
+    first_period = sum(c[0] < lo1 + 4 for c in t.centers)
+    assert 0 < len(yielded) <= first_period < len(t.centers) // 8
 
 
 def test_to_json_is_the_to_dict_text():

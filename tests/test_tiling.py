@@ -693,16 +693,15 @@ def reference_bitset(indices, size):
 
 
 def test_bitset_edges():
-    assert tiling._bitset([], 5) == (0, 0)
-    assert tiling._bitset(iter(()), 1) == (0, 0)
-    assert tiling._bitset([0], 1) == (1, 1)
-    assert tiling._bitset([4], 5) == (1 << 4, 1)  # bit size - 1
-    assert tiling._bitset(iter([0, 4, 2]), 5) == (0b10101, 3)
-    # a repeat is counted again: exact_cover finds a center given twice
-    # by a count above the bit count
-    x, count = tiling._bitset([3, 1, 3], 8)
-    assert (x, count) == (0b1010, 3)
-    assert x.bit_count() < count
+    assert tiling._bitset([], 5) == 0
+    assert tiling._bitset(iter(()), 1) == 0
+    assert tiling._bitset([0], 1) == 1
+    assert tiling._bitset([4], 5) == 1 << 4  # bit size - 1
+    assert tiling._bitset(iter([0, 4, 2]), 5) == 0b10101
+    # a repeat sets its bit once: exact_cover finds a center given twice
+    # by a bit count below the number of touching centers
+    x = tiling._bitset([3, 1, 3], 8)
+    assert x == 0b1010 and x.bit_count() == 2
 
 
 def test_bitset_of_a_hundred_thousand_bits():
@@ -710,8 +709,7 @@ def test_bitset_of_a_hundred_thousand_bits():
     # CPython's 4300-digit limit on int strings
     size = 10 ** 5
     indices = list(range(size - 1, -1, -7)) + [0, size - 1]
-    x, count = tiling._bitset(indices, size)
-    assert count == len(indices)
+    x = tiling._bitset(indices, size)
     assert x == reference_bitset(indices, size)
     assert x.bit_length() == size
 
@@ -997,13 +995,26 @@ TILINGS = (
 @st.composite
 def covers(draw):
     """(centers, tile, R): a lattice tiling with centers dropped, repeated or
-    added, or random centers and tile; duplicates and far centers included."""
+    added, or random centers and tile; duplicates and far centers included.
+
+    The lattice tilings repeat along x_1, so the box holds several equal
+    x_1-slabs: a drop or an extra center changes one of them only, and
+    one slab may be copied to an x_1 outside touch_box, whose run then
+    has the key of a run inside it.  The centers come either sorted, so
+    exact_cover reads their runs as they are, or in any order, so it
+    sorts them by x_1 first.
+    """
     R = draw(st.integers(0, 3))
     if draw(st.booleans()):
         hom, tile = draw(st.sampled_from(TILINGS))
         centers = kernel_points_in_box(hom, R + draw(st.integers(0, 3)))
         drop = draw(st.sets(st.integers(0, len(centers) - 1), max_size=2))
         centers = [c for i, c in enumerate(centers) if i not in drop]
+        if centers and draw(st.booleans()):
+            lo, hi = touch_box(tile, R)
+            v = draw(st.sampled_from(centers))[0]
+            x = draw(st.sampled_from([lo[0] - 1, hi[0] + 1, -10 ** 20]))
+            centers += [(x,) + c[1:] for c in centers if c[0] == v]
     else:
         n = draw(st.integers(1, 3))
         tile = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=8))
@@ -1014,14 +1025,55 @@ def covers(draw):
     centers = centers + draw(st.lists(st.one_of(point, extra), max_size=30))
     if draw(st.booleans()):
         tile = tile + [draw(st.sampled_from(tile))]
+    if draw(st.booleans()):
+        return sorted(centers), tile, R
     return draw(st.permutations(centers)), tile, R
+
+
+# the cross tiling at R = 2 over the box |x_i| <= 5: its slabs repeat with
+# period 5 along x_1, so those at x_1 = -3 and 2 are equal, and those at
+# |x_1| >= 4 lie outside touch_box, whose x_1 range is [-3, 3]
+CROSS = lee_sphere(2, 1)
+PERIODIC = kernel_points_in_box(CROSS_HOM, 5)
+LINE = kernel_points_in_box(Homomorphism(FiniteAbelianGroup((3,)), ((1,),)), 6)
 
 
 @settings(max_examples=600, deadline=None)
 @given(covers())
+@example(([c for c in PERIODIC if c != (2, -1)], CROSS, 2))  # a hole in one of two equal slabs
+@example((sorted(PERIODIC + [(-3, 0)]), CROSS, 2))  # an overlap in one of them
+@example((PERIODIC + [(10 ** 20, y) for x, y in PERIODIC if x == 2], CROSS, 2))  # far copy
+@example((sorted(PERIODIC + [(2, -1)]), CROSS, 2))  # a center repeated inside one slab
+@example((sorted(PERIODIC + [(5, 0)]), CROSS, 2))  # ... inside a slab outside touch_box
+@example((PERIODIC[::-1], CROSS, 2))  # unsorted
+@example((LINE, [(-1,), (0,), (1,)], 3))  # n = 1
+@example((LINE[::-1] + [(0,)], [(-1,), (0,), (1,)], 3))  # n = 1, unsorted, repeated
+@example((LINE + [(6,)], [(-1,), (0,), (1,)], 3))  # n = 1, repeated outside the window
 def test_exact_cover_matches_set_oracle(case):
     centers, tile, R = case
     assert exact_cover(centers, tile, R) == exact_cover_by_set(centers, tile, R)
+
+
+def test_a_periodic_kernel_walk_scatters_one_period_of_slabs(monkeypatch):
+    # DPL(3,12)'s walk repeats along x_1 with the period 12 of phi(e_1):
+    # of the 2R + 4 = 34 slabs at R = 15 only the first 12 are scattered
+    code = construct_dpl4(3, 12)
+    V = code.anticode.points()
+    R = 15
+    lo, hi = touch_box(V, R)
+    centers = _kernel_points(code.hom, lo, hi)
+    assert period(code.hom) == 12 and hi[0] - lo[0] + 1 == 34
+    indices = tiling._indices
+    yielded = []
+
+    def counted(*args):
+        for i in indices(*args):
+            yielded.append(i)
+            yield i
+
+    monkeypatch.setattr(tiling, "_indices", counted)
+    assert verify_window_tiling(code.hom, V, R)
+    assert 0 < len(yielded) <= sum(c[0] < lo[0] + 12 for c in centers) < len(centers) // 2
 
 
 @pytest.mark.parametrize("hom, tile", TILINGS + (
